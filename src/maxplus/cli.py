@@ -194,6 +194,8 @@ def _cmd_halfspace_check(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.grid < 1:
+        raise ParseFailure(f"--grid must be at least 1, got {args.grid}")
     cone, cset = _geometry(args)
     if cset is None:
         # a cone is the convex set generated by the zero point plus its rays

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -55,6 +56,46 @@ def _ray_normalize(g: TropVector) -> Tuple[TropVector, MaxPlusScalar]:
     return g.scale(MaxPlusScalar(-shift.as_float())), shift
 
 
+def _rows(vectors) -> List[Tuple[int, tuple]]:
+    """(bitmask of the finite coordinates, ``sort_key()`` floats) per vector."""
+    rows = []
+    for v in vectors:
+        coords = v.sort_key()
+        rows.append((sum(1 << i for i, c in enumerate(coords) if c != -math.inf), coords))
+    return rows
+
+
+def _covered(rows: List[Tuple[int, tuple]], j: int) -> bool:
+    """Whether row j is the max-plus combination of the other rows (``_rows``).
+
+    Each other row g enters at its greatest scale
+    lam = min over finite g_i of x_i - g_i, x being row j; x is covered when
+    these scaled rows reach it on every coordinate.  The float operations
+    are those of ``project``, so the answer equals ``project(others, x) == x``.
+    """
+    support, x = rows[j]
+    cover = [-math.inf] * len(x)
+    for k, (g_support, g) in enumerate(rows):
+        # g finite where x is -inf gives lam = -inf: g adds nothing
+        if k == j or g_support & ~support:
+            continue
+        lam = math.inf
+        for xi, gi in zip(x, g):
+            if gi != -math.inf and xi - gi < lam:
+                lam = xi - gi
+        # left now only by float overflow, which project clamps to the zero
+        if not -math.inf < lam < math.inf:
+            continue
+        for i, gi in enumerate(g):
+            if gi != -math.inf:
+                v = lam + gi
+                if v > x[i]:
+                    return False
+                if v > cover[i]:
+                    cover[i] = v
+    return tuple(cover) == x
+
+
 class Cone:
     """Finitely generated max-plus cone in V-representation.
 
@@ -62,12 +103,11 @@ class Cone:
     they contribute nothing and break ray normalization.
     """
 
-    def __init__(self, generators: TropMatrix, normalized: bool = False):
+    def __init__(self, generators: TropMatrix):
         kept = [g for g in generators.columns if not g.is_zero_vector]
         if len(kept) != generators.ncols:
             warnings.warn("dropping zero-vector generators from cone", stacklevel=2)
         self._generators = TropMatrix(kept, dim=generators.dim)
-        self._normalized = normalized
 
     @classmethod
     def from_vectors(cls, vectors, dim: int | None = None) -> "Cone":
@@ -85,10 +125,6 @@ class Cone:
     def ngens(self) -> int:
         return self._generators.ncols
 
-    @property
-    def normalized(self) -> bool:
-        return self._normalized
-
     def __repr__(self) -> str:
         return f"Cone({list(self._generators.columns)!r})"
 
@@ -104,25 +140,23 @@ class Cone:
         return all(self.member(g) for g in other.generators)
 
     def is_extreme_generator(self, k: int) -> bool:
-        """Generator k is not reachable from the other generators.
+        """Generator k is not a max-plus combination of the other generators.
 
-        Equivalent to the definitional notion for finitely generated cones
-        when the generator list is duplicate-free on rays; extract_basis
-        deduplicates before relying on this.
+        The removal test of ``_covered`` on the raw generator rows.  A
+        generator with a scaled copy elsewhere in the list is covered by it,
+        so this matches extremality only on a list that is duplicate-free on
+        rays; extract_basis deduplicates before applying the same test.
         """
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
-        others = TropMatrix(
-            [g for j, g in enumerate(self._generators.columns) if j != k], dim=self.dim
-        )
-        g = self._generators[k]
-        return project(others, g) != g
+        return not _covered(_rows(self._generators.columns), k)
 
     def _basis_entries(self) -> List[Tuple[TropVector, int, MaxPlusScalar]]:
         """(normalized generator, original index, shift) per extreme ray.
 
         Normalized representatives are deduplicated (smallest original index
-        wins), sorted lexicographically, then filtered by the removal test.
+        wins), sorted lexicographically, then each is kept unless the others
+        cover it (``_covered``, the test behind ``is_extreme_generator``).
         """
         seen = {}
         for idx, g in enumerate(self._generators.columns):
@@ -133,17 +167,13 @@ class Cone:
             ((norm, idx, shift) for norm, (idx, shift) in seen.items()),
             key=lambda e: e[0].sort_key(),
         )
-        kept = []
-        for j, (norm, idx, shift) in enumerate(entries):
-            others = TropMatrix([e[0] for i, e in enumerate(entries) if i != j], dim=self.dim)
-            if project(others, norm) != norm:
-                kept.append((norm, idx, shift))
-        return kept
+        rows = _rows(e[0] for e in entries)
+        return [e for j, e in enumerate(entries) if not _covered(rows, j)]
 
     def extract_basis(self) -> "Cone":
         """One ray-normalized representative per extreme ray, lex-sorted."""
         basis = [norm for norm, _, _ in self._basis_entries()]
-        return Cone(TropMatrix(basis, dim=self.dim), normalized=True)
+        return Cone(TropMatrix(basis, dim=self.dim))
 
     def decompose(self, x: TropVector) -> ConeDecomposition:
         """Write a member as a max-plus sum of at most dim extreme generators.

@@ -6,7 +6,7 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .cones import Cone, NotMember
+from .cones import Cone, NotMember, _covered, _rows
 from .linalg import DimensionMismatch, TropMatrix, TropVector
 from .semiring import ONE, ZERO, MaxPlusScalar
 
@@ -165,18 +165,21 @@ class ConvexSet:
     def is_extreme(self, x: TropVector) -> bool:
         """Whether a member is an extreme point of the set.
 
-        Appending a member to the point list leaves the represented set
-        unchanged, so extremality can be read off the extended V-representation.
+        The lifted (x, 0) goes through the removal test behind the cone
+        basis, against the lifted rays and the lifted points other than x
+        (a point equal to x lies on its ray): x is extreme unless they cover
+        it.  O(mn) for m generators in dimension n.
         """
-        if not self.member(x):
+        cone = self.homogenize()
+        lifted_x = _lift(x, ONE)
+        proj = cone.project(lifted_x)
+        if proj != lifted_x:
             raise NotMember(
                 "vector is not a member of the convex set",
-                TropVector(list(self.lifted_projection(x))[: self.dim]),
+                TropVector(list(proj)[: self.dim]),
             )
-        extended = ConvexSet(
-            TropMatrix(list(self._points.columns) + [x], dim=self.dim), self._rays
-        )
-        return x in extended.extreme_points()
+        rows = _rows([g for g in cone.generators if g != lifted_x] + [lifted_x])
+        return not _covered(rows, len(rows) - 1)
 
     def to_json(self) -> dict:
         return {"points": self._points.to_json(), "rays": self._rays.to_json()}

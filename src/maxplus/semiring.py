@@ -22,7 +22,10 @@ class MaxPlusScalar:
         if value is None:
             self._value: float | None = None
             return
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:
+            raise ValueError("max-plus scalar is too large for a float") from None
         if v == -math.inf:
             self._value = None
         elif math.isfinite(v):

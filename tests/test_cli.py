@@ -149,6 +149,16 @@ class TestRender:
         assert code == EXIT_OK, err
         ET.fromstring(out.read_text())
 
+    def test_grid_zero_rejected(self, capsys):
+        code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "0")
+        assert code == EXIT_PARSE
+        assert "--grid" in err and out == ""
+
+    def test_negative_grid_rejected(self, capsys):
+        code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "-3")
+        assert code == EXIT_PARSE
+        assert "--grid" in err and out == ""
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -168,6 +178,18 @@ class TestErrors:
         code, _, err = run(capsys, "basis", "--cone", str(f))
         assert code == EXIT_PARSE
         assert "generators" in err
+
+    def test_huge_integer_in_cone_file(self, capsys, tmp_path):
+        f = tmp_path / "huge.json"
+        f.write_text('{"generators": [[' + "9" * 400 + ", 0]]}")
+        code, _, err = run(capsys, "basis", "--cone", str(f))
+        assert code == EXIT_PARSE
+        assert "--cone" in err
+
+    def test_huge_integer_in_vector(self, capsys):
+        code, _, err = run(capsys, "member", "--cone", REC, "--x", "[" + "9" * 400 + ", 0]")
+        assert code == EXIT_PARSE
+        assert "--x" in err
 
 
 class TestRoundTrip:

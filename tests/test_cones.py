@@ -9,6 +9,7 @@ from maxplus import (
     TropMatrix,
     TropVector,
     cones_equal,
+    project,
 )
 
 from oracles import cone_member_oracle
@@ -109,6 +110,59 @@ class TestExtractBasis:
                         checked += 1
                         assert y == g or z == g
         assert checked >= 1000
+
+
+def _mixed_cone(rng):
+    """Generators with scaled duplicates, max-plus combinations, -inf
+    entries and (for half the cones) one-decimal values."""
+    n = rng.randint(1, 5)
+    tenths = rng.random() < 0.5
+
+    def num(lo, hi):
+        k = rng.randint(lo, hi)
+        return k / 10 if tenths else k
+
+    def ray():
+        coords = [float("-inf") if rng.random() < 0.2 else num(-50, 50) for _ in range(n)]
+        coords[rng.randrange(n)] = num(-50, 50)
+        return TropVector.of(*coords)
+
+    base = [ray() for _ in range(rng.randint(1, 6))]
+    gens = list(base)
+    for _ in range(rng.randint(0, 3)):
+        gens.append(rng.choice(base).scale(MaxPlusScalar(num(-30, 30))))
+    for _ in range(rng.randint(0, 3)):
+        out = TropVector.zero(n)
+        for g in rng.sample(base, min(len(base), 2)):
+            out = out.join(g.scale(MaxPlusScalar(num(-30, 30))))
+        gens.append(out)
+    rng.shuffle(gens)
+    return Cone(TropMatrix(gens, dim=n))
+
+
+def _reference_basis(C):
+    """The removal test as a loop over public project: deduplicated,
+    lex-sorted normalized generators, each kept unless the others reach it."""
+    norms = {g.scale(MaxPlusScalar(-g.max_coord().as_float())) for g in C.generators}
+    entries = sorted(norms, key=lambda v: v.sort_key())
+    kept = []
+    for j, norm in enumerate(entries):
+        others = TropMatrix(entries[:j] + entries[j + 1:], dim=C.dim)
+        if project(others, norm) != norm:
+            kept.append(norm)
+    return kept
+
+
+class TestRemovalTestReference:
+    def test_basis_and_extreme_generators_match_project_loop(self):
+        rng = random.Random(26)
+        for _ in range(400):
+            C = _mixed_cone(rng)
+            assert list(C.extract_basis().generators) == _reference_basis(C)
+            gens = list(C.generators)
+            for k, g in enumerate(gens):
+                others = TropMatrix(gens[:k] + gens[k + 1:], dim=C.dim)
+                assert C.is_extreme_generator(k) == (project(others, g) != g)
 
 
 class TestDecompose:

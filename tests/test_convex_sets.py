@@ -210,6 +210,28 @@ class TestIsExtreme:
     def test_singleton(self):
         assert ConvexSet.from_vectors([vec(0, 0)]).is_extreme(vec(0, 0))
 
+    def test_listed_non_extreme_point(self):
+        # (5, 3) is a member of fig1, so listing it leaves the set unchanged
+        base = fig1_set()
+        A = ConvexSet.from_vectors(list(base.points) + [vec(5, 3)], list(base.rays))
+        assert not A.is_extreme(vec(5, 3))
+        assert A.is_extreme(vec(3, 2))
+        assert A.extreme_points() == fig1_extreme_points()
+
+    def test_listed_point_reached_by_ray(self):
+        A = ConvexSet.from_vectors([vec(0, 0), vec(1, 1)], [vec(0, 0)])
+        assert A.is_extreme(vec(0, 0))
+        assert not A.is_extreme(vec(1, 1))
+
+    def test_matches_extended_extreme_points(self):
+        # appending a member to the point list leaves the set unchanged
+        rng = random.Random(38)
+        for _ in range(150):
+            A = rand_set(rng, rng.randint(1, 4))
+            for x in list(A.points)[:2] + [rand_set_member(rng, A)]:
+                extended = ConvexSet(TropMatrix(list(A.points) + [x], dim=A.dim), A.rays)
+                assert A.is_extreme(x) == (x in extended.extreme_points())
+
     def test_non_member_raises(self):
         with pytest.raises(NotMember):
             fig1_set().is_extreme(vec(0, 0))
