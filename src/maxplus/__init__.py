@@ -20,7 +20,7 @@ from .linalg import (
     project,
     vectors_equal,
 )
-from .semiring import ONE, ZERO, MaxPlusScalar, ResidualScalar, residual, scalars_equal
+from .semiring import ONE, ZERO, MaxPlusScalar, residual, scalars_equal
 
 __all__ = [
     "Cone",
@@ -31,7 +31,6 @@ __all__ = [
     "MaxPlusScalar",
     "NotMember",
     "ONE",
-    "ResidualScalar",
     "SetDecomposition",
     "TropMatrix",
     "TropVector",

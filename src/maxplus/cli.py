@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cones import Cone, NotMember
@@ -21,6 +22,25 @@ EXIT_SELF_CHECK = 3
 
 class ParseFailure(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other parse failure (argparse uses 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseFailure(message)
+
+
+def _tolerance(text: str) -> float:
+    """--tolerance: finite and >= 0 (float() also reads nan and inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _load_json(path: str, what: str):
@@ -126,6 +146,8 @@ def _cmd_decompose(args) -> int:
             doc = dec.to_json()
     except DimensionMismatch as exc:
         raise ParseFailure(f"--x: {exc}") from None
+    except ArithmeticError:
+        ok = False
     except NotMember as exc:
         _emit(
             {"error": "not a member", "projection": exc.projection.to_json()},
@@ -214,54 +236,49 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+# add_argument settings per flag; each subcommand picks the flags it reads
+_FLAGS = {
+    "cone": dict(metavar="FILE"),
+    "set": dict(metavar="FILE"),
+    "x": dict(metavar="JSON-ARRAY"),
+    "halfspace": dict(metavar="FILE"),
+    "side": dict(choices=["plus", "minus"], default="plus"),
+    "grid": dict(type=int, default=200),
+    "tolerance": dict(type=_tolerance, default=0.0),
+    "out": dict(metavar="FILE"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="maxplus",
         description="Exact max-plus (tropical) convexity: membership, bases, "
         "extreme points and Minkowski-type decompositions over JSON files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **flags):
+    def add(name, fn, *flags, required=()):
         p = sub.add_parser(name)
-        if flags.get("cone"):
-            p.add_argument("--cone", metavar="FILE")
-        if flags.get("set"):
-            p.add_argument("--set", metavar="FILE")
-        if flags.get("x"):
-            p.add_argument("--x", metavar="JSON-ARRAY", required=flags["x"] == "required")
-        if flags.get("halfspace"):
-            p.add_argument("--halfspace", metavar="FILE", required=True)
-        if flags.get("side"):
-            p.add_argument("--side", choices=["plus", "minus"], default="plus")
-        if flags.get("grid"):
-            p.add_argument("--grid", type=int, default=200)
-        p.add_argument("--tolerance", type=float, default=0.0)
-        p.add_argument("--out", metavar="FILE")
+        for flag in flags + ("out",):
+            p.add_argument(f"--{flag}", required=flag in required, **_FLAGS[flag])
         p.set_defaults(fn=fn)
-        return p
 
-    add("member", _cmd_member, cone=True, set=True, x="required")
-    add("basis", _cmd_basis, cone=True)
-    add("decompose", _cmd_decompose, cone=True, set=True, x="required")
-    add("extreme-points", _cmd_extreme_points, set=True)
-    add("recession", _cmd_recession, set=True)
-    add("homogenize", _cmd_homogenize, set=True)
-    add("minkowski-verify", _cmd_minkowski_verify, set=True)
-    add("halfspace-check", _cmd_halfspace_check, halfspace=True, set=True, x="optional", side=True)
-    add("render", _cmd_render, cone=True, set=True, grid=True)
+    add("member", _cmd_member, "cone", "set", "x", "tolerance", required=("x",))
+    add("basis", _cmd_basis, "cone", required=("cone",))
+    add("decompose", _cmd_decompose, "cone", "set", "x", required=("x",))
+    add("extreme-points", _cmd_extreme_points, "set", required=("set",))
+    add("recession", _cmd_recession, "set", required=("set",))
+    add("homogenize", _cmd_homogenize, "set", required=("set",))
+    add("minkowski-verify", _cmd_minkowski_verify, "set", required=("set",))
+    add("halfspace-check", _cmd_halfspace_check, "halfspace", "set", "x", "side", "tolerance",
+        required=("halfspace",))
+    add("render", _cmd_render, "cone", "set", "grid")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "basis" and args.cone is None:
-            raise ParseFailure("--cone is required")
-        if args.command in ("extreme-points", "recession", "homogenize", "minkowski-verify") and (
-            args.set is None
-        ):
-            raise ParseFailure("--set is required")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseFailure as exc:
         sys.stderr.write(f"error: {exc}\n")

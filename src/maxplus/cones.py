@@ -47,13 +47,9 @@ class ConeDecomposition:
         }
 
 
-def _ray_normalize(g: TropVector) -> Tuple[TropVector, MaxPlusScalar]:
-    """Shift a nonzero vector so its maximum coordinate is 0.
-
-    Returns (normalized vector, shift) with g = shift + normalized.
-    """
-    shift = g.max_coord()
-    return g.scale(MaxPlusScalar(-shift.as_float())), shift
+def _ray_normalize(g: TropVector) -> TropVector:
+    """Shift a nonzero vector so its maximum coordinate is 0."""
+    return g.scale(MaxPlusScalar(-g.max_coord().as_float()))
 
 
 def _rows(vectors) -> List[Tuple[int, tuple]]:
@@ -151,8 +147,8 @@ class Cone:
             raise IndexError(f"generator index {k} out of range")
         return not _covered(_rows(self._generators.columns), k)
 
-    def _basis_entries(self) -> List[Tuple[TropVector, int, MaxPlusScalar]]:
-        """(normalized generator, original index, shift) per extreme ray.
+    def _basis_entries(self) -> List[Tuple[TropVector, int]]:
+        """(normalized generator, original index) per extreme ray.
 
         Normalized representatives are deduplicated (smallest original index
         wins), sorted lexicographically, then each is kept unless the others
@@ -160,68 +156,55 @@ class Cone:
         """
         seen = {}
         for idx, g in enumerate(self._generators.columns):
-            norm, shift = _ray_normalize(g)
-            if norm not in seen:
-                seen[norm] = (idx, shift)
-        entries = sorted(
-            ((norm, idx, shift) for norm, (idx, shift) in seen.items()),
-            key=lambda e: e[0].sort_key(),
-        )
-        rows = _rows(e[0] for e in entries)
+            seen.setdefault(_ray_normalize(g), idx)
+        entries = sorted(seen.items(), key=lambda e: e[0].sort_key())
+        rows = _rows(norm for norm, _ in entries)
         return [e for j, e in enumerate(entries) if not _covered(rows, j)]
 
     def extract_basis(self) -> "Cone":
         """One ray-normalized representative per extreme ray, lex-sorted."""
-        basis = [norm for norm, _, _ in self._basis_entries()]
+        basis = [norm for norm, _ in self._basis_entries()]
         return Cone(TropMatrix(basis, dim=self.dim))
 
     def decompose(self, x: TropVector) -> ConeDecomposition:
         """Write a member as a max-plus sum of at most dim extreme generators.
 
-        Per finite coordinate of x, among the maximally scaled basis
-        generators that attain it, a pointwise-minimal one is selected
-        (smallest basis index on ties); indices are mapped back to the
-        original generator list.
+        Each extreme ray enters as the generator ``_basis_entries`` kept for
+        it, scaled by its residual (``left_residual``), which keeps it below
+        x.  Per finite coordinate of x the first of these in basis order that
+        attains it is a term; then, in original-index order, a term is
+        dropped when the others still reach x.  Raises ArithmeticError when
+        float rounding leaves a coordinate of a member attained only outside
+        the basis.
         """
         proj = self.project(x)
         if proj != x:
             raise NotMember("vector is not a member of the cone", proj)
 
-        entries = self._basis_entries()
-        basis = TropMatrix([e[0] for e in entries], dim=self.dim)
-        lams = [r.clamp_to_max_plus() for r in left_residual(basis, x)]
-        scaled = [g.scale(lam) for g, lam in zip(basis.columns, lams)]
+        indices = [idx for _, idx in self._basis_entries()]
+        gens = [self._generators[idx] for idx in indices]
+        lams = left_residual(TropMatrix(gens, dim=self.dim), x)
+        rows = [tuple(lam + gi for gi in g.sort_key()) for g, lam in zip(gens, lams)]
+        target = x.sort_key()
 
         selected: List[int] = []
-        for i in range(self.dim):
-            if x[i].is_zero:
+        for i, xi in enumerate(target):
+            if xi == -math.inf:
                 continue
-            candidates = [k for k in range(basis.ncols) if scaled[k][i] == x[i]]
-            minimal = [
-                k
-                for k in candidates
-                if not any(scaled[j] <= scaled[k] and scaled[j] != scaled[k] for j in candidates)
-            ]
-            pick = minimal[0]
+            pick = next((k for k, row in enumerate(rows) if row[i] == xi), None)
+            if pick is None:
+                raise ArithmeticError(f"no basis generator attains coordinate {i} of the member")
             if pick not in selected:
                 selected.append(pick)
 
         # greedy pruning: drop any term the remaining ones already cover
-        for k in sorted(selected, key=lambda k: entries[k][1]):
+        for k in sorted(selected, key=indices.__getitem__):
             rest = [j for j in selected if j != k]
-            cover = TropVector.zero(self.dim)
-            for j in rest:
-                cover = cover.join(scaled[j])
-            if cover == x:
+            cover = tuple(map(max, zip([-math.inf] * self.dim, *(rows[j] for j in rest))))
+            if cover == target:
                 selected = rest
 
-        terms = []
-        for k in selected:
-            _, orig_idx, shift = entries[k]
-            # lam + normalized = (lam - shift) + original generator
-            coeff = lams[k] * MaxPlusScalar(-shift.as_float())
-            terms.append((orig_idx, coeff))
-        terms.sort(key=lambda t: t[0])
+        terms = sorted((indices[k], MaxPlusScalar(lams[k])) for k in selected)
         return ConeDecomposition(tuple(terms), x)
 
     def to_json(self) -> dict:

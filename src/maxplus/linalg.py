@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Sequence
 
-from .semiring import ZERO, MaxPlusScalar, ResidualScalar, residual, scalars_equal
+from .semiring import ZERO, MaxPlusScalar, residual, scalars_equal
 
 
 class DimensionMismatch(ValueError):
@@ -182,10 +183,11 @@ def combine(M: TropMatrix, lambdas: Sequence[MaxPlusScalar]) -> TropVector:
     return out
 
 
-def left_residual(M: TropMatrix, x: TropVector) -> List[ResidualScalar]:
-    """Greatest lambda_k with lambda_k + M[:,k] <= x, per column.
+def left_residual(M: TropMatrix, x: TropVector) -> List[float]:
+    """Greatest lambda_k with lambda_k + M[:,k] <= x, per column, as floats.
 
-    +inf appears exactly at zero columns.
+    +inf at zero columns (and where x_i - M[i,k] overflows); -inf where
+    column k is finite at a coordinate where x is the zero.
     """
     if x.dim != M.dim:
         raise DimensionMismatch(f"dim {M.dim} vs {x.dim}")
@@ -197,5 +199,6 @@ def left_residual(M: TropMatrix, x: TropVector) -> List[ResidualScalar]:
 
 def project(M: TropMatrix, x: TropVector) -> TropVector:
     """Canonical projection: greatest element of cone(columns of M) below x."""
-    lams = [r.clamp_to_max_plus() for r in left_residual(M, x)]
+    # +inf (a zero column, or a float overflow) gets no weight
+    lams = [ZERO if r == math.inf else MaxPlusScalar(r) for r in left_residual(M, x)]
     return combine(M, lams)

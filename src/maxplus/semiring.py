@@ -103,69 +103,17 @@ ZERO = MaxPlusScalar()
 ONE = MaxPlusScalar(0)
 
 
-class ResidualScalar:
-    """An element of R u {-inf, +inf}, produced by residuation.
+def residual(b: MaxPlusScalar, a: MaxPlusScalar) -> float:
+    """Greatest lam with lam * a <= b (max-plus division b / a), as a float.
 
-    +inf is the top of the residuated order; it never enters a MaxPlusScalar
-    (conversion fails loudly), keeping set elements inside R u {-inf}.
+    +inf, the top of the residuated order, when a is the zero; it has no
+    MaxPlusScalar counterpart.  -inf when only b is the zero.
     """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Number):
-        v = float(value)
-        if math.isnan(v):
-            raise ValueError("residual scalar cannot be NaN")
-        self._value = v
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    @property
-    def is_top(self) -> bool:
-        return self._value == math.inf
-
-    def to_max_plus(self) -> MaxPlusScalar:
-        if self.is_top:
-            raise OverflowError("+inf residual has no max-plus counterpart")
-        return MaxPlusScalar(self._value) if self._value != -math.inf else ZERO
-
-    def clamp_to_max_plus(self) -> MaxPlusScalar:
-        """As to_max_plus, but +inf collapses to the semiring zero.
-
-        Only valid when the associated generator is the zero vector, whose
-        coefficient is irrelevant.
-        """
-        if self.is_top:
-            return ZERO
-        return self.to_max_plus()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ResidualScalar):
-            return self._value == other._value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __le__(self, other: "ResidualScalar") -> bool:
-        return self._value <= other._value
-
-    def __lt__(self, other: "ResidualScalar") -> bool:
-        return self._value < other._value
-
-    def __repr__(self) -> str:
-        return f"ResidualScalar({self._value:g})"
-
-
-def residual(b: MaxPlusScalar, a: MaxPlusScalar) -> ResidualScalar:
-    """Greatest lam with lam * a <= b (max-plus division b / a)."""
     if a.is_zero:
-        return ResidualScalar(math.inf)
+        return math.inf
     if b.is_zero:
-        return ResidualScalar(-math.inf)
-    return ResidualScalar(b.as_float() - a.as_float())
+        return -math.inf
+    return b.as_float() - a.as_float()
 
 
 def scalars_equal(a: MaxPlusScalar, b: MaxPlusScalar, tolerance: float = 0.0) -> bool:

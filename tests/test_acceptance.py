@@ -195,7 +195,7 @@ def test_criterion_10_law_suite():
         a = MaxPlusScalar(rng.randint(-9, 9))
         lam = MaxPlusScalar(rng.randint(-9, 9))
         b = MaxPlusScalar(rng.randint(-9, 9))
-        assert (lam * a <= b) == (lam.as_float() <= residual(b, a).value)
+        assert (lam * a <= b) == (lam.as_float() <= residual(b, a))
     for _ in range(10000):
         n = rng.randint(1, 4)
         C = rand_cone(rng, n, max_gens=5)

@@ -2,7 +2,9 @@ import json
 import pathlib
 import xml.etree.ElementTree as ET
 
-from maxplus.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+import pytest
+
+from maxplus.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SELF_CHECK, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIG1 = str(DATA / "fig1.json")
@@ -85,6 +87,23 @@ class TestDecompose:
         assert doc["error"] == "not a member"
         assert "projection" in doc
 
+    def test_one_decimal_member(self, capsys, tmp_path):
+        f = tmp_path / "cone.json"
+        f.write_text(json.dumps({"generators": [[0.2, -0.4]]}))
+        assert run_json(capsys, "member", "--cone", str(f), "--x", "[0.4, -0.2]")["member"]
+        doc = run_json(capsys, "decompose", "--cone", str(f), "--x", "[0.4, -0.2]")
+        assert doc == {"terms": [{"index": 0, "coeff": 0.2}], "target": [0.4, -0.2]}
+
+    def test_coordinate_unattained_in_floats(self, capsys, tmp_path):
+        # a member whose coordinate 0 only a non-extreme generator attains
+        # once rounded to floats
+        f = tmp_path / "cone.json"
+        f.write_text(json.dumps({"generators": [[-0.2, 0.6], [-0.4, 0.7], [0.5, -0.3]]}))
+        assert run_json(capsys, "member", "--cone", str(f), "--x", "[-0.3, 0.7]")["member"]
+        code, out, err = run(capsys, "decompose", "--cone", str(f), "--x", "[-0.3, 0.7]")
+        assert code == EXIT_SELF_CHECK
+        assert out == "" and "self-verification" in err
+
 
 class TestSetQueries:
     def test_extreme_points_sorted(self, capsys):
@@ -158,6 +177,67 @@ class TestRender:
         code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "-3")
         assert code == EXIT_PARSE
         assert "--grid" in err and out == ""
+
+
+class TestTolerance:
+    HS = str(DATA / "face_halfspace.json")
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e400", "abc"])
+    def test_member_rejects(self, capsys, value):
+        code, out, err = run(capsys, "member", "--cone", REC, "--x", "[2,1]", "--tolerance", value)
+        assert code == EXIT_PARSE
+        assert "--tolerance" in err and out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e400"])
+    def test_halfspace_check_rejects(self, capsys, value):
+        code, out, err = run(
+            capsys, "halfspace-check", "--halfspace", self.HS, "--x", "[0,0]", "--tolerance", value
+        )
+        assert code == EXIT_PARSE
+        assert "--tolerance" in err and out == ""
+
+    def test_halfspace_check_accepts(self, capsys):
+        doc = run_json(
+            capsys, "halfspace-check", "--halfspace", self.HS, "--x", "[0,-1]", "--tolerance", "0.5"
+        )
+        assert doc == {"contains": True}
+
+    def test_only_on_member_and_halfspace_check(self, capsys):
+        code, out, err = run(capsys, "basis", "--cone", REC, "--tolerance", "0")
+        assert code == EXIT_PARSE
+        assert "--tolerance" in err and out == ""
+
+
+class TestUsageErrors:
+    def test_missing_x(self, capsys):
+        code, out, err = run(capsys, "member", "--cone", REC)
+        assert code == EXIT_PARSE
+        assert "--x" in err and out == ""
+
+    def test_bad_grid(self, capsys):
+        code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "abc")
+        assert code == EXIT_PARSE
+        assert "--grid" in err and out == ""
+
+    def test_unknown_flag_and_command(self, capsys):
+        assert run(capsys, "basis", "--cone", REC, "--nope")[0] == EXIT_PARSE
+        assert run(capsys, "nope")[0] == EXIT_PARSE
+        assert run(capsys)[0] == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["basis"], ["extreme-points"], ["recession"], ["homogenize"], ["minkowski-verify"]],
+    )
+    def test_missing_geometry(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert ("--cone" if argv == ["basis"] else "--set") in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["member", "--help"])
+        assert exc.value.code == 0
+        assert "--tolerance" in capsys.readouterr().out
 
 
 class TestErrors:

@@ -12,8 +12,17 @@ from maxplus import (
     project,
 )
 
-from oracles import cone_member_oracle
-from util import floats, rand_cone, rand_cone_member, rand_vector, same_ray, vec
+from oracles import combine_oracle, cone_member_oracle
+from util import (
+    NEG,
+    floats,
+    mixed_vectors,
+    rand_cone,
+    rand_cone_member,
+    rand_vector,
+    same_ray,
+    vec,
+)
 
 
 def cone(*gens):
@@ -117,27 +126,7 @@ def _mixed_cone(rng):
     entries and (for half the cones) one-decimal values."""
     n = rng.randint(1, 5)
     tenths = rng.random() < 0.5
-
-    def num(lo, hi):
-        k = rng.randint(lo, hi)
-        return k / 10 if tenths else k
-
-    def ray():
-        coords = [float("-inf") if rng.random() < 0.2 else num(-50, 50) for _ in range(n)]
-        coords[rng.randrange(n)] = num(-50, 50)
-        return TropVector.of(*coords)
-
-    base = [ray() for _ in range(rng.randint(1, 6))]
-    gens = list(base)
-    for _ in range(rng.randint(0, 3)):
-        gens.append(rng.choice(base).scale(MaxPlusScalar(num(-30, 30))))
-    for _ in range(rng.randint(0, 3)):
-        out = TropVector.zero(n)
-        for g in rng.sample(base, min(len(base), 2)):
-            out = out.join(g.scale(MaxPlusScalar(num(-30, 30))))
-        gens.append(out)
-    rng.shuffle(gens)
-    return Cone(TropMatrix(gens, dim=n))
+    return Cone(TropMatrix(mixed_vectors(rng, n, tenths), dim=n))
 
 
 def _reference_basis(C):
@@ -201,6 +190,50 @@ class TestDecompose:
                 for k, coeff in d.terms:
                     g = C.generators[k]
                     assert any(same_ray(g, b) for b in basis_rays)
+
+    def test_one_decimal_member(self):
+        d = cone((0.2, -0.4)).decompose(vec(0.4, -0.2))
+        assert d.terms == ((0, MaxPlusScalar(0.2)),)
+
+    def test_unattained_coordinate_is_named(self):
+        # in floats only the non-extreme (-0.2, 0.6) attains coordinate 0
+        C = cone((-0.2, 0.6), (-0.4, 0.7), (0.5, -0.3))
+        assert C.member(vec(-0.3, 0.7))
+        with pytest.raises(ArithmeticError, match="coordinate 0"):
+            C.decompose(vec(-0.3, 0.7))
+
+    def test_certificates_on_mixed_cones(self):
+        """Targets are max-plus combinations of the generators.  Integer
+        inputs always decompose; on one-decimal inputs float rounding may
+        refuse (NotMember, or ArithmeticError for a member) but a returned
+        certificate is always right."""
+        rng = random.Random(27)
+        made = {True: 0, False: 0}
+        for _ in range(300):
+            C = _mixed_cone(rng)
+            gens = list(C.generators)
+            integral = all(c == NEG or c.is_integer() for g in gens for c in floats(g))
+            basis = list(C.extract_basis().generators)
+            for _ in range(4):
+                x = TropVector.zero(C.dim)
+                for g in rng.sample(gens, min(len(gens), rng.randint(1, 3))):
+                    lam = rng.randint(-30, 30)
+                    x = x.join(g.scale(MaxPlusScalar(lam if integral else lam / 10)))
+                try:
+                    d = C.decompose(x)
+                except (NotMember, ArithmeticError) as exc:
+                    assert not integral
+                    assert C.member(x) == isinstance(exc, ArithmeticError)
+                    continue
+                made[integral] += 1
+                assert 1 <= len(d.terms) <= C.dim
+                got = combine_oracle(
+                    [floats(gens[k]) for k, _ in d.terms], [c.as_float() for _, c in d.terms]
+                )
+                assert got == floats(x)
+                for k, _ in d.terms:
+                    assert any(same_ray(gens[k], b) for b in basis)
+        assert made[True] > 500 and made[False] > 250, made
 
 
 class TestConstruction:

@@ -14,11 +14,13 @@ from maxplus import (
     sets_equal,
 )
 
-from oracles import set_member_oracle
+from oracles import combine_oracle, set_member_oracle
 from util import (
+    NEG,
     fig1_extreme_points,
     fig1_set,
     floats,
+    mixed_vectors,
     rand_set,
     rand_set_member,
     same_ray,
@@ -168,6 +170,53 @@ class TestDecompose:
                     assert A.points[k] in ext
                 for h, _ in d.ray_terms:
                     assert any(same_ray(A.rays[h], b) for b in rec_basis)
+
+
+    def test_certificates_on_mixed_sets(self):
+        """Points and rays with scaled duplicates, max-plus combinations,
+        -inf entries and one-decimal values; targets are convex combinations
+        of the points plus scaled rays.  Integer inputs always decompose; on
+        one-decimal inputs float rounding may refuse (NotMember, or
+        ArithmeticError for a member) but a returned certificate is right."""
+        rng = random.Random(35)
+        made = {True: 0, False: 0}
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            tenths = rng.random() < 0.5
+            points = mixed_vectors(rng, n, tenths)
+            rays = mixed_vectors(rng, n, tenths)[: rng.randint(0, 3)]
+            A = ConvexSet.from_vectors(points, rays)
+            lifted_basis = list(A.homogenize().extract_basis().generators)
+            rec_basis = list(A.recession().generators)
+            for _ in range(4):
+                x = TropVector.zero(n)
+                alphas = [rng.randint(-30, 0) for _ in points]
+                alphas[rng.randrange(len(points))] = 0
+                for p, a in zip(points, alphas):
+                    x = x.join(p.scale(MaxPlusScalar(a / 10 if tenths else a)))
+                for r in rays:
+                    if rng.random() < 0.5:
+                        lam = rng.randint(-30, 30)
+                        x = x.join(r.scale(MaxPlusScalar(lam / 10 if tenths else lam)))
+                try:
+                    d = A.decompose(x)
+                except (NotMember, ArithmeticError) as exc:
+                    assert tenths
+                    assert A.member(x) == isinstance(exc, ArithmeticError)
+                    continue
+                made[not tenths] += 1
+                assert len(d.point_terms) + len(d.ray_terms) <= n + 1
+                assert max(c.as_float() for _, c in d.point_terms) == 0
+                gens = [floats(points[k]) for k, _ in d.point_terms]
+                gens += [floats(rays[h]) for h, _ in d.ray_terms]
+                coeffs = [c.as_float() for _, c in d.point_terms + d.ray_terms]
+                assert combine_oracle(gens, coeffs) == floats(x)
+                for k, _ in d.point_terms:
+                    lifted = TropVector(list(points[k]) + [MaxPlusScalar(0)])
+                    assert any(same_ray(lifted, b) for b in lifted_basis)
+                for h, _ in d.ray_terms:
+                    assert any(same_ray(rays[h], b) for b in rec_basis)
+        assert made[True] > 350 and made[False] > 250, made
 
 
 class TestMinkowskiSum:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -59,17 +60,17 @@ class TestLeftResidual:
     def test_hand_example(self):
         M = mat((0, 1), (2, 0))
         r = left_residual(M, vec(2, 1))
-        assert [x.value for x in r] == [0, 0]
+        assert r == [0, 0]
 
     def test_column_equals_target(self):
         M = mat((0, 1))
-        assert [x.value for x in left_residual(M, vec(0, 1))] == [0]
+        assert left_residual(M, vec(0, 1)) == [0]
 
     def test_zero_column_gives_top(self):
         M = TropMatrix([vec("-inf", "-inf"), vec(0, 0)], dim=2)
         r = left_residual(M, vec(1, 2))
-        assert r[0].is_top
-        assert r[1].value == 1
+        assert r[0] == math.inf
+        assert r[1] == 1
 
 
 class TestProject:

@@ -42,6 +42,32 @@ def rand_cone_member(rng: random.Random, C: Cone) -> TropVector:
     return out
 
 
+def mixed_vectors(rng: random.Random, n: int, tenths: bool) -> list:
+    """Nonzero vectors with scaled duplicates, max-plus combinations and
+    -inf entries; one-decimal values when ``tenths``."""
+
+    def num(lo, hi):
+        k = rng.randint(lo, hi)
+        return k / 10 if tenths else k
+
+    def ray():
+        coords = [NEG if rng.random() < 0.2 else num(-50, 50) for _ in range(n)]
+        coords[rng.randrange(n)] = num(-50, 50)
+        return TropVector.of(*coords)
+
+    base = [ray() for _ in range(rng.randint(1, 6))]
+    gens = list(base)
+    for _ in range(rng.randint(0, 3)):
+        gens.append(rng.choice(base).scale(MaxPlusScalar(num(-30, 30))))
+    for _ in range(rng.randint(0, 3)):
+        out = TropVector.zero(n)
+        for g in rng.sample(base, min(len(base), 2)):
+            out = out.join(g.scale(MaxPlusScalar(num(-30, 30))))
+        gens.append(out)
+    rng.shuffle(gens)
+    return gens
+
+
 def rand_set(rng: random.Random, n: int, max_points=6, max_rays=3, with_rays=True) -> ConvexSet:
     p = rng.randint(1, max_points)
     q = rng.randint(0, max_rays) if with_rays else 0
