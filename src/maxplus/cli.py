@@ -43,35 +43,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _load_json(path: str, what: str):
+def _load(flag: str, path: str, from_json):
+    """Build the object of a file flag (--cone, --set, --halfspace) from its JSON."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return from_json(json.load(fh))
     except OSError as exc:
-        raise ParseFailure(f"cannot read {what} file {path!r}: {exc}") from None
+        raise ParseFailure(f"{flag}: cannot read {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ParseFailure(f"{what} file {path!r} is not valid JSON: {exc}") from None
-
-
-def _load_cone(path: str) -> Cone:
-    try:
-        return Cone.from_json(_load_json(path, "cone"))
+        raise ParseFailure(f"{flag}: {path!r} is not valid JSON: {exc}") from None
     except (ValueError, TypeError) as exc:
-        raise ParseFailure(f"--cone: {exc}") from None
-
-
-def _load_set(path: str) -> ConvexSet:
-    try:
-        return ConvexSet.from_json(_load_json(path, "set"))
-    except (ValueError, TypeError) as exc:
-        raise ParseFailure(f"--set: {exc}") from None
-
-
-def _load_halfspace(path: str) -> HalfSpace:
-    try:
-        return HalfSpace.from_json(_load_json(path, "halfspace"))
-    except (ValueError, TypeError) as exc:
-        raise ParseFailure(f"--halfspace: {exc}") from None
+        raise ParseFailure(f"{flag}: {exc}") from None
+    except RecursionError:
+        raise ParseFailure(f"{flag}: {path!r} is nested too deeply") from None
 
 
 def _parse_vector(text: str) -> TropVector:
@@ -79,21 +63,30 @@ def _parse_vector(text: str) -> TropVector:
         return TropVector.from_json(json.loads(text))
     except (ValueError, TypeError) as exc:
         raise ParseFailure(f"--x: {exc}") from None
+    except RecursionError:
+        raise ParseFailure("--x: the array is nested too deeply") from None
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write to --out when given, else to stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseFailure(f"--out: cannot write {out!r}: {exc}") from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _geometry(args, need_one=True):
     """Resolve --cone/--set into (cone, convex_set); exactly one may be given."""
-    cone = _load_cone(args.cone) if getattr(args, "cone", None) else None
-    cset = _load_set(args.set) if getattr(args, "set", None) else None
+    cone = _load("--cone", args.cone, Cone.from_json) if getattr(args, "cone", None) else None
+    cset = _load("--set", args.set, ConvexSet.from_json) if getattr(args, "set", None) else None
     if need_one and (cone is None) == (cset is None):
         raise ParseFailure("exactly one of --cone or --set is required")
     return cone, cset
@@ -120,7 +113,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    cone = _load_cone(args.cone)
+    cone = _load("--cone", args.cone, Cone.from_json)
     _emit(cone.extract_basis().to_json(), args.out)
     return EXIT_OK
 
@@ -162,25 +155,25 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_extreme_points(args) -> int:
-    cset = _load_set(args.set)
+    cset = _load("--set", args.set, ConvexSet.from_json)
     _emit({"extreme_points": [p.to_json() for p in cset.extreme_points()]}, args.out)
     return EXIT_OK
 
 
 def _cmd_recession(args) -> int:
-    cset = _load_set(args.set)
+    cset = _load("--set", args.set, ConvexSet.from_json)
     _emit(cset.recession().to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_homogenize(args) -> int:
-    cset = _load_set(args.set)
+    cset = _load("--set", args.set, ConvexSet.from_json)
     _emit(cset.homogenize().to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_minkowski_verify(args) -> int:
-    cset = _load_set(args.set)
+    cset = _load("--set", args.set, ConvexSet.from_json)
     ext = cset.extreme_points()
     reconstructed = ConvexSet.from_vectors(ext, list(cset.recession().generators))
     holds = sets_equal(cset, reconstructed)
@@ -196,7 +189,7 @@ def _cmd_minkowski_verify(args) -> int:
 
 
 def _cmd_halfspace_check(args) -> int:
-    hs = _load_halfspace(args.halfspace)
+    hs = _load("--halfspace", args.halfspace, HalfSpace.from_json)
     if args.x is not None and args.set is not None:
         raise ParseFailure("give either --x or --set, not both")
     try:
@@ -205,7 +198,7 @@ def _cmd_halfspace_check(args) -> int:
             verdict = hs.contains(x, args.side, args.tolerance)
             _emit({"contains": verdict}, args.out)
         elif args.set is not None:
-            cset = _load_set(args.set)
+            cset = _load("--set", args.set, ConvexSet.from_json)
             verdict = hs.contains_set(cset, args.side, args.tolerance)
             _emit({"contains_set": verdict}, args.out)
         else:
@@ -221,18 +214,12 @@ def _cmd_render(args) -> int:
     cone, cset = _geometry(args)
     if cset is None:
         # a cone is the convex set generated by the zero point plus its rays
-        cset = ConvexSet.from_vectors(
-            [TropVector.zero(cone.dim)], list(cone.generators)
-        )
+        cset = ConvexSet.from_vectors([TropVector.zero(cone.dim)], list(cone.generators))
     try:
         svg = render_set_svg(cset, grid=args.grid)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from None
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+    _write(svg, args.out)
     return EXIT_OK
 
 

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import List, Tuple
 
-from .linalg import DimensionMismatch, TropMatrix, TropVector, left_residual, project
+from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, left_residual, project
 from .semiring import MaxPlusScalar
 
 
@@ -23,16 +21,17 @@ class NotMember(ValueError):
         self.projection = projection
 
 
-@dataclass(frozen=True)
-class ConeDecomposition:
+class ConeDecomposition(Record):
     """Certificate that target = max over terms of coeff + generator[index].
 
     Indices refer to the cone's own generator list; at most one term per
     generator and at most dim terms in total, each on an extreme ray.
     """
 
-    terms: Tuple[Tuple[int, MaxPlusScalar], ...]
-    target: TropVector
+    __slots__ = ("terms", "target")
+
+    def __init__(self, terms: tuple[tuple[int, MaxPlusScalar], ...], target: TropVector):
+        super().__init__(terms, target)
 
     def recombine(self, cone: "Cone") -> TropVector:
         out = TropVector.zero(cone.dim)
@@ -52,7 +51,7 @@ def _ray_normalize(g: TropVector) -> TropVector:
     return g.scale(MaxPlusScalar(-g.max_coord().as_float()))
 
 
-def _rows(vectors) -> List[Tuple[int, tuple]]:
+def _rows(vectors) -> list[tuple[int, tuple]]:
     """(bitmask of the finite coordinates, ``sort_key()`` floats) per vector."""
     rows = []
     for v in vectors:
@@ -61,7 +60,7 @@ def _rows(vectors) -> List[Tuple[int, tuple]]:
     return rows
 
 
-def _covered(rows: List[Tuple[int, tuple]], j: int) -> bool:
+def _covered(rows: list[tuple[int, tuple]], j: int) -> bool:
     """Whether row j is the max-plus combination of the other rows (``_rows``).
 
     Each other row g enters at its greatest scale
@@ -147,7 +146,7 @@ class Cone:
             raise IndexError(f"generator index {k} out of range")
         return not _covered(_rows(self._generators.columns), k)
 
-    def _basis_entries(self) -> List[Tuple[TropVector, int]]:
+    def _basis_entries(self) -> list[tuple[TropVector, int]]:
         """(normalized generator, original index) per extreme ray.
 
         Normalized representatives are deduplicated (smallest original index
@@ -187,7 +186,7 @@ class Cone:
         rows = [tuple(lam + gi for gi in g.sort_key()) for g, lam in zip(gens, lams)]
         target = x.sort_key()
 
-        selected: List[int] = []
+        selected: list[int] = []
         for i, xi in enumerate(target):
             if xi == -math.inf:
                 continue

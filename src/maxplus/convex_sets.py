@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import List, Tuple
 
 from .cones import Cone, NotMember, _covered, _rows
-from .linalg import DimensionMismatch, TropMatrix, TropVector
+from .linalg import DimensionMismatch, Record, TropMatrix, TropVector
 from .semiring import ONE, ZERO, MaxPlusScalar
 
 
@@ -15,17 +13,18 @@ def _lift(v: TropVector, last: MaxPlusScalar) -> TropVector:
     return TropVector(list(v) + [last])
 
 
-@dataclass(frozen=True)
-class SetDecomposition:
+class SetDecomposition(Record):
     """Certificate: target = convex combination of extreme points, plus rays.
 
     Point coefficients max out at 0 (the convex-combination constraint);
     point_terms plus ray_terms never exceed dim + 1 entries.
     """
 
-    point_terms: Tuple[Tuple[int, MaxPlusScalar], ...]
-    ray_terms: Tuple[Tuple[int, MaxPlusScalar], ...]
-    target: TropVector
+    __slots__ = ("point_terms", "ray_terms", "target")
+
+    def __init__(self, point_terms: tuple[tuple[int, MaxPlusScalar], ...],
+                 ray_terms: tuple[tuple[int, MaxPlusScalar], ...], target: TropVector):
+        super().__init__(point_terms, ray_terms, target)
 
     def recombine(self, A: "ConvexSet") -> TropVector:
         out = TropVector.zero(A.dim)
@@ -104,7 +103,7 @@ class ConvexSet:
     def member(self, x: TropVector) -> bool:
         return self.lifted_projection(x) == _lift(x, ONE)
 
-    def extreme_points(self) -> List[TropVector]:
+    def extreme_points(self) -> list[TropVector]:
         """All extreme points, lex-sorted (with -inf below every finite value).
 
         These are the basis generators of the homogenization cone whose last

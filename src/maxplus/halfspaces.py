@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 from .convex_sets import ConvexSet
-from .linalg import DimensionMismatch, TropVector
+from .linalg import DimensionMismatch, Record, TropVector
 from .semiring import MaxPlusScalar, ZERO
-
-Side = Literal["plus", "minus"]
 
 
 def eval_form(coeffs: TropVector, x: TropVector) -> MaxPlusScalar:
@@ -22,24 +17,20 @@ def eval_form(coeffs: TropVector, x: TropVector) -> MaxPlusScalar:
     return out
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Record):
     """The region where psi_plus(x) + a_plus >= psi_minus(x) + a_minus.
 
     The minus side is the opposite half-space (reversed inequality);
-    boundary points belong to both sides.
+    boundary points belong to both sides.  A side is "plus" or "minus".
     """
 
-    plus_coeffs: TropVector
-    plus_const: MaxPlusScalar
-    minus_coeffs: TropVector
-    minus_const: MaxPlusScalar
+    __slots__ = ("plus_coeffs", "plus_const", "minus_coeffs", "minus_const")
 
-    def __post_init__(self):
-        if self.plus_coeffs.dim != self.minus_coeffs.dim:
-            raise DimensionMismatch(
-                f"dim {self.plus_coeffs.dim} vs {self.minus_coeffs.dim}"
-            )
+    def __init__(self, plus_coeffs: TropVector, plus_const: MaxPlusScalar,
+                 minus_coeffs: TropVector, minus_const: MaxPlusScalar):
+        if plus_coeffs.dim != minus_coeffs.dim:
+            raise DimensionMismatch(f"dim {plus_coeffs.dim} vs {minus_coeffs.dim}")
+        super().__init__(plus_coeffs, plus_const, minus_coeffs, minus_const)
 
     @property
     def dim(self) -> int:
@@ -53,7 +44,7 @@ class HalfSpace:
             return lhs * slack, rhs * slack, lhs, rhs
         return lhs, rhs, lhs, rhs
 
-    def contains(self, x: TropVector, side: Side, tolerance: float = 0.0) -> bool:
+    def contains(self, x: TropVector, side: str, tolerance: float = 0.0) -> bool:
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
         lhs_relaxed, rhs_relaxed, lhs, rhs = self._sides(x, tolerance)
@@ -63,13 +54,13 @@ class HalfSpace:
             return rhs_relaxed >= lhs
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
-    def contains_ray(self, r: TropVector, side: Side) -> bool:
+    def contains_ray(self, r: TropVector, side: str) -> bool:
         """Homogeneous inequality for a recession direction (constants drop)."""
         lhs = eval_form(self.plus_coeffs, r)
         rhs = eval_form(self.minus_coeffs, r)
         return lhs >= rhs if side == "plus" else rhs >= lhs
 
-    def contains_set(self, A: ConvexSet, side: Side, tolerance: float = 0.0) -> bool:
+    def contains_set(self, A: ConvexSet, side: str, tolerance: float = 0.0) -> bool:
         """Whether the whole V-represented set lies in the chosen side.
 
         Checking the points against the affine inequality and the rays against

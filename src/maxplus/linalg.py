@@ -3,13 +3,41 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from collections.abc import Iterable, Sequence
 
 from .semiring import ZERO, MaxPlusScalar, residual, scalars_equal
 
 
 class DimensionMismatch(ValueError):
     """Operands live in different ambient dimensions."""
+
+
+class Record:
+    """Immutable value over its ``__slots__``: compared, hashed and printed field-wise."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
 class TropVector:
@@ -117,6 +145,8 @@ class TropMatrix:
     __slots__ = ("_columns", "_dim")
 
     def __init__(self, columns: Iterable[TropVector], dim: int | None = None):
+        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int) or dim < 1):
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         cols = tuple(columns)
         if cols:
             n = cols[0].dim
@@ -126,11 +156,9 @@ class TropMatrix:
             if dim is not None and dim != n:
                 raise DimensionMismatch(f"declared dim {dim} but columns have dim {n}")
             self._dim = n
+        elif dim is None:
+            raise ValueError("empty matrix needs an explicit dimension")
         else:
-            if dim is None:
-                raise ValueError("empty matrix needs an explicit dimension")
-            if dim < 1:
-                raise ValueError("dimension must be at least 1")
             self._dim = dim
         self._columns = cols
 
@@ -183,7 +211,7 @@ def combine(M: TropMatrix, lambdas: Sequence[MaxPlusScalar]) -> TropVector:
     return out
 
 
-def left_residual(M: TropMatrix, x: TropVector) -> List[float]:
+def left_residual(M: TropMatrix, x: TropVector) -> list[float]:
     """Greatest lambda_k with lambda_k + M[:,k] <= x, per column, as floats.
 
     +inf at zero columns (and where x_i - M[i,k] overflows); -inf where

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
 from .convex_sets import ConvexSet
 from .linalg import TropVector
@@ -14,9 +13,9 @@ PAD_UNITS = 2.0
 BAND_UNITS = 1.0
 
 
-def _finite_bbox(A: ConvexSet) -> Tuple[float, float, float, float]:
-    xs: List[float] = []
-    ys: List[float] = []
+def _finite_bbox(A: ConvexSet) -> tuple[float, float, float, float]:
+    xs: list[float] = []
+    ys: list[float] = []
     for v in list(A.points.columns) + list(A.rays.columns):
         if not v[0].is_zero:
             xs.append(v[0].as_float())
@@ -52,7 +51,7 @@ class _Frame:
             y = self.y0 - BAND_UNITS / 2
         return (self.y1 - y) * PX_PER_UNIT
 
-    def point_px(self, v: TropVector) -> Tuple[float, float]:
+    def point_px(self, v: TropVector) -> tuple[float, float]:
         return self.px(v[0].as_float()), self.py(v[1].as_float())
 
 
@@ -60,7 +59,7 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
-def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> List[str]:
+def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> list[str]:
     """Row-major membership sampling, merged into horizontal run rectangles."""
     rects = []
     dx = (frame.x1 - frame.x0) / grid

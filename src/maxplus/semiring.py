@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Union
-
-Number = Union[int, float]
 
 
 class MaxPlusScalar:
@@ -18,7 +15,7 @@ class MaxPlusScalar:
 
     __slots__ = ("_value",)
 
-    def __init__(self, value: Number | None = None):
+    def __init__(self, value: int | float | None = None):
         if value is None:
             self._value: float | None = None
             return

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,6 +11,7 @@ from maxplus.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SELF_CHECK,
 DATA = pathlib.Path(__file__).parent / "data"
 FIG1 = str(DATA / "fig1.json")
 REC = str(DATA / "rec.json")
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -271,6 +274,41 @@ class TestErrors:
         assert code == EXIT_PARSE
         assert "--x" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--cone"],
+        ["recession", "--set"],
+        ["halfspace-check", "--x", "[0,0]", "--halfspace"],
+    ])
+    def test_deeply_nested_file(self, capsys, tmp_path, argv):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000)
+        code, out, err = run(capsys, *argv, str(f))
+        assert code == EXIT_PARSE
+        assert argv[-1] in err and out == ""
+
+    def test_deeply_nested_vector(self, capsys):
+        code, out, err = run(capsys, "member", "--cone", REC, "--x", "[" * 100_000)
+        assert code == EXIT_PARSE
+        assert "--x" in err and out == ""
+
+    @pytest.mark.parametrize("dim", ["2.5", "true"])
+    def test_cone_dim_validated(self, capsys, tmp_path, dim):
+        f = tmp_path / "dim.json"
+        f.write_text('{"generators": [], "dim": %s}' % dim)
+        for argv in (["basis"], ["render", "--grid", "2"]):
+            code, out, err = run(capsys, *argv, "--cone", str(f))
+            assert code == EXIT_PARSE
+            assert "--cone" in err and "dim" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["basis", "--cone", REC], ["render", "--set", FIG1, "--grid", "2"]]
+    )
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        for out_path in (tmp_path / "missing" / "x.out", tmp_path):
+            code, out, err = run(capsys, *argv, "--out", str(out_path))
+            assert code == EXIT_PARSE
+            assert "--out" in err and out == ""
+
 
 class TestRoundTrip:
     def test_emitted_documents_reparse(self, capsys):
@@ -282,3 +320,24 @@ class TestRoundTrip:
         Cone.from_json(doc)
         rec = run_json(capsys, "recession", "--set", FIG1)
         Cone.from_json(rec)
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_only_what_a_call_uses(self, tmp_path):
+        # -S: no site hook may import these first and hide a regression
+        svg = tmp_path / "fig1.svg"
+        script = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {SRC!r})",
+            "import maxplus.cli",
+            'unwanted = ("dataclasses", "inspect", "typing")',
+            "print(sorted(m for m in unwanted if m in sys.modules))",
+            f"argv = ['render', '--set', {FIG1!r}, '--grid', '4', '--out', {str(svg)!r}]",
+            "print(maxplus.cli.main(argv))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", str(EXIT_OK)]
+        ET.parse(svg)

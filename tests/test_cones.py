@@ -170,6 +170,18 @@ class TestDecompose:
         C = cone((0, 1), (2, 0))
         assert C.decompose(TropVector.zero(2)).terms == ()
 
+    def test_certificate_is_an_immutable_value(self):
+        C = cone((0, 1), (2, 0))
+        d = C.decompose(vec(2, 1))
+        assert d == C.decompose(vec(2, 1)) and hash(d) == hash(C.decompose(vec(2, 1)))
+        assert d != C.decompose(vec(3, 4))
+        assert repr(d) == (
+            "ConeDecomposition(terms=((0, MaxPlusScalar(0)), (1, MaxPlusScalar(0))), "
+            "target=TropVector(2, 1))"
+        )
+        with pytest.raises(AttributeError):
+            d.terms = ()
+
     def test_non_member_raises_with_projection(self):
         C = cone((0, 1), (2, 0))
         with pytest.raises(NotMember) as exc:

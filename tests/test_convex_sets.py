@@ -127,6 +127,18 @@ class TestDecompose:
         assert d.point_terms == ((1, MaxPlusScalar(0)),)
         assert d.ray_terms == ()
 
+    def test_certificate_is_an_immutable_value(self):
+        A = fig1_set()
+        d = A.decompose(vec(4, 0))
+        assert d == A.decompose(vec(4, 0)) and hash(d) == hash(A.decompose(vec(4, 0)))
+        assert d != A.decompose(vec(5, 5))
+        assert repr(d) == (
+            "SetDecomposition(point_terms=((1, MaxPlusScalar(0)),), ray_terms=(), "
+            "target=TropVector(4, 0))"
+        )
+        with pytest.raises(AttributeError):
+            d.ray_terms = ()
+
     def test_compact_endpoint(self):
         A = ConvexSet.from_vectors([vec(0, 0), vec(2, 1)])
         d = A.decompose(vec(2, 1))

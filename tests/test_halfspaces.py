@@ -153,3 +153,23 @@ class TestJson:
     def test_missing_side_rejected(self):
         with pytest.raises(ValueError):
             HalfSpace.from_json({"plus": {"coeffs": [0], "const": 0}})
+
+
+class TestValue:
+    def test_immutable(self, face_instance):
+        _, _, H, _ = face_instance
+        before = hash(H)
+        with pytest.raises(AttributeError):
+            H.plus_const = ZERO
+        assert hash(H) == before
+
+    def test_repr(self):
+        H = HalfSpace(vec(0, 1), ZERO, TropVector.zero(2), MaxPlusScalar(0))
+        assert repr(H) == (
+            "HalfSpace(plus_coeffs=TropVector(0, 1), plus_const=MaxPlusScalar(-inf), "
+            "minus_coeffs=TropVector(-inf, -inf), minus_const=MaxPlusScalar(0))"
+        )
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            HalfSpace(vec(0, 1), ZERO, TropVector.zero(3), ZERO)

@@ -145,6 +145,13 @@ class TestMatrix:
         with pytest.raises(ValueError):
             TropMatrix([])
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, 0, -1, "2"])
+    def test_dim_must_be_an_integer_at_least_one(self, dim):
+        for cols in ([], [vec(1, 2)]):
+            with pytest.raises(ValueError, match="dim"):
+                TropMatrix(cols, dim=dim)
+        assert TropMatrix([], dim=2).dim == TropMatrix([vec(1, 2)], dim=2).dim == 2
+
     def test_json_round_trip(self):
         M = mat((0, 1), (2, "-inf"))
         assert TropMatrix.from_json(M.to_json()) == M
