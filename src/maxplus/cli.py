@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .cones import Cone, NotMember
@@ -70,7 +71,14 @@ def _parse_vector(text: str) -> TropVector:
 def _write(text: str, out: str | None) -> None:
     """Write to --out when given, else to stdout."""
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit; send what is left
+            # in its buffer to the null device instead of a second failure
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ParseFailure(f"cannot write to stdout: {exc}") from None
         return
     try:
         with open(out, "w") as fh:

@@ -95,7 +95,8 @@ class Cone:
     """Finitely generated max-plus cone in V-representation.
 
     Zero-vector generators are stripped at construction (with a warning):
-    they contribute nothing and break ray normalization.
+    they contribute nothing and break ray normalization.  A cone is
+    immutable, so its basis is computed on first use and then reused.
     """
 
     def __init__(self, generators: TropMatrix):
@@ -103,6 +104,7 @@ class Cone:
         if len(kept) != generators.ncols:
             warnings.warn("dropping zero-vector generators from cone", stacklevel=2)
         self._generators = TropMatrix(kept, dim=generators.dim)
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, vectors, dim: int | None = None) -> "Cone":
@@ -146,19 +148,21 @@ class Cone:
             raise IndexError(f"generator index {k} out of range")
         return not _covered(_rows(self._generators.columns), k)
 
-    def _basis_entries(self) -> list[tuple[TropVector, int]]:
+    def _basis_entries(self) -> tuple[tuple[TropVector, int], ...]:
         """(normalized generator, original index) per extreme ray.
 
         Normalized representatives are deduplicated (smallest original index
         wins), sorted lexicographically, then each is kept unless the others
         cover it (``_covered``, the test behind ``is_extreme_generator``).
         """
-        seen = {}
-        for idx, g in enumerate(self._generators.columns):
-            seen.setdefault(_ray_normalize(g), idx)
-        entries = sorted(seen.items(), key=lambda e: e[0].sort_key())
-        rows = _rows(norm for norm, _ in entries)
-        return [e for j, e in enumerate(entries) if not _covered(rows, j)]
+        if self._basis is None:
+            seen = {}
+            for idx, g in enumerate(self._generators.columns):
+                seen.setdefault(_ray_normalize(g), idx)
+            entries = sorted(seen.items(), key=lambda e: e[0].sort_key())
+            rows = _rows(norm for norm, _ in entries)
+            self._basis = tuple(e for j, e in enumerate(entries) if not _covered(rows, j))
+        return self._basis
 
     def extract_basis(self) -> "Cone":
         """One ray-normalized representative per extreme ray, lex-sorted."""

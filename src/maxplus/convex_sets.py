@@ -46,7 +46,8 @@ class ConvexSet:
     """A = co(points) + cone(rays), both finite, in V-representation.
 
     The point list must be non-empty; zero-vector rays are stripped with a
-    warning (they add nothing and would break ray normalization).
+    warning (they add nothing and would break ray normalization).  A set is
+    immutable, so its homogenization is built on first use and then reused.
     """
 
     def __init__(self, points: TropMatrix, rays: TropMatrix | None = None):
@@ -61,13 +62,15 @@ class ConvexSet:
             warnings.warn("dropping zero-vector rays from convex set", stacklevel=2)
         self._points = points
         self._rays = TropMatrix(kept, dim=points.dim)
+        self._cone = None
 
     @classmethod
     def from_vectors(cls, points, rays=()) -> "ConvexSet":
         pts = list(points)
-        rs = list(rays)
-        dim = pts[0].dim if pts else None
-        return cls(TropMatrix(pts, dim=dim), TropMatrix(rs, dim=dim))
+        if not pts:
+            raise ValueError("a convex set needs at least one point")
+        dim = pts[0].dim
+        return cls(TropMatrix(pts, dim=dim), TropMatrix(rays, dim=dim))
 
     @property
     def points(self) -> TropMatrix:
@@ -88,11 +91,14 @@ class ConvexSet:
         """Lift to dimension n+1: points get last coordinate 0, rays -inf.
 
         This is the closure of the homogenization cone of the set, with the
-        recession directions sitting in the last-coordinate-zero slice.
+        recession directions sitting in the last-coordinate-zero slice.  The
+        same cone is returned on every call, so its basis is computed once.
         """
-        lifted = [_lift(p, ONE) for p in self._points.columns]
-        lifted += [_lift(r, ZERO) for r in self._rays.columns]
-        return Cone(TropMatrix(lifted, dim=self.dim + 1))
+        if self._cone is None:
+            lifted = [_lift(p, ONE) for p in self._points.columns]
+            lifted += [_lift(r, ZERO) for r in self._rays.columns]
+            self._cone = Cone(TropMatrix(lifted, dim=self.dim + 1))
+        return self._cone
 
     def lifted_projection(self, x: TropVector) -> TropVector:
         """Projection of (x, 0) onto the homogenization cone, in n+1 dims."""

@@ -17,6 +17,11 @@ def eval_form(coeffs: TropVector, x: TropVector) -> MaxPlusScalar:
     return out
 
 
+def _check_side(side: str) -> None:
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+
+
 class HalfSpace(Record):
     """The region where psi_plus(x) + a_plus >= psi_minus(x) + a_minus.
 
@@ -47,15 +52,13 @@ class HalfSpace(Record):
     def contains(self, x: TropVector, side: str, tolerance: float = 0.0) -> bool:
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
+        _check_side(side)
         lhs_relaxed, rhs_relaxed, lhs, rhs = self._sides(x, tolerance)
-        if side == "plus":
-            return lhs_relaxed >= rhs
-        if side == "minus":
-            return rhs_relaxed >= lhs
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+        return lhs_relaxed >= rhs if side == "plus" else rhs_relaxed >= lhs
 
     def contains_ray(self, r: TropVector, side: str) -> bool:
         """Homogeneous inequality for a recession direction (constants drop)."""
+        _check_side(side)
         lhs = eval_form(self.plus_coeffs, r)
         rhs = eval_form(self.minus_coeffs, r)
         return lhs >= rhs if side == "plus" else rhs >= lhs

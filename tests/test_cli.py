@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -308,6 +309,31 @@ class TestErrors:
             code, out, err = run(capsys, *argv, "--out", str(out_path))
             assert code == EXIT_PARSE
             assert "--out" in err and out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullStdout:
+    """A write to stdout that fails exits 1 with one error line, buffered
+    stdout included (the interpreter flushes it again at exit)."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["member", "--cone", REC, "--x", "[2,1]"],
+        ["render", "--set", FIG1, "--grid", "5"],
+    ])
+    def test_exits_1_without_traceback(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxplus.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        assert proc.returncode == EXIT_PARSE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write to stdout: ")
 
 
 class TestRoundTrip:

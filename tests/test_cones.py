@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from maxplus import cones as cones_module
 from maxplus import (
     Cone,
     MaxPlusScalar,
@@ -17,6 +18,7 @@ from util import (
     NEG,
     floats,
     mixed_vectors,
+    outcome,
     rand_cone,
     rand_cone_member,
     rand_vector,
@@ -246,6 +248,47 @@ class TestDecompose:
                 for k, _ in d.terms:
                     assert any(same_ray(gens[k], b) for b in basis)
         assert made[True] > 500 and made[False] > 250, made
+
+
+class TestBasisCache:
+    """The basis is computed on first use and kept: a cone is immutable."""
+
+    def test_repeated_calls_match_a_fresh_cone_per_call(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            tenths = rng.random() < 0.5
+            gens = mixed_vectors(rng, n, tenths)
+            targets = mixed_vectors(rng, n, tenths)[:2]
+            for _ in range(2):
+                x = TropVector.zero(n)
+                for g in gens:
+                    k = rng.randint(-30, 30)
+                    x = x.join(g.scale(MaxPlusScalar(k / 10 if tenths else k)))
+                targets.append(x)
+            C = Cone.from_vectors(gens)
+            for _ in range(3):
+                fresh = Cone.from_vectors(gens).extract_basis()
+                assert list(C.extract_basis().generators) == list(fresh.generators)
+                for x in targets:
+                    assert C.member(x) == Cone.from_vectors(gens).member(x)
+                    assert outcome(lambda: C.decompose(x)) == outcome(
+                        lambda: Cone.from_vectors(gens).decompose(x)
+                    )
+
+    def test_second_call_runs_no_removal_test(self, monkeypatch):
+        calls = []
+        covered = cones_module._covered
+        monkeypatch.setattr(
+            cones_module, "_covered", lambda rows, j: calls.append(j) or covered(rows, j)
+        )
+        C = cone((0, 1), (2, 0), (2, 1), (4, 2))
+        first = C.decompose(vec(2, 1))
+        assert calls
+        done = len(calls)
+        assert C.decompose(vec(2, 1)) == first
+        assert C.extract_basis().ngens == 2
+        assert len(calls) == done
 
 
 class TestConstruction:

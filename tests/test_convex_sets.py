@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from maxplus import cones as cones_module
 from maxplus import (
     Cone,
     ConvexSet,
@@ -21,6 +22,7 @@ from util import (
     fig1_set,
     floats,
     mixed_vectors,
+    outcome,
     rand_set,
     rand_set_member,
     same_ray,
@@ -339,10 +341,65 @@ class TestInvariants:
             assert lifted_ext == finite_last
 
 
+class TestHomogenizationCache:
+    """The lifted cone is built on first use and kept: a set is immutable."""
+
+    def test_homogenize_returns_the_same_cone(self):
+        A = fig1_set()
+        assert A.homogenize() is A.homogenize()
+
+    def test_repeated_calls_match_a_fresh_set_per_call(self):
+        rng = random.Random(71)
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            tenths = rng.random() < 0.5
+            points = mixed_vectors(rng, n, tenths)
+            rays = mixed_vectors(rng, n, tenths)[: rng.randint(0, 3)]
+            targets = list(points[:2]) + mixed_vectors(rng, n, tenths)[:1]
+            x = TropVector.zero(n)
+            for p in points:
+                k = rng.randint(-30, 0)
+                x = x.join(p.scale(MaxPlusScalar(k / 10 if tenths else k)))
+            targets.append(x.join(points[0]))
+
+            def fresh():
+                return ConvexSet.from_vectors(points, rays)
+
+            A = fresh()
+            for _ in range(3):
+                assert A.extreme_points() == fresh().extreme_points()
+                for x in targets:
+                    assert A.member(x) == fresh().member(x)
+                    assert outcome(lambda: A.decompose(x)) == outcome(lambda: fresh().decompose(x))
+                    assert outcome(lambda: A.is_extreme(x)) == outcome(
+                        lambda: fresh().is_extreme(x)
+                    )
+
+    def test_second_call_runs_no_removal_test(self, monkeypatch):
+        calls = []
+        covered = cones_module._covered
+        monkeypatch.setattr(
+            cones_module, "_covered", lambda rows, j: calls.append(j) or covered(rows, j)
+        )
+        A = fig1_set()
+        assert A.extreme_points() == fig1_extreme_points()
+        assert calls
+        done = len(calls)
+        assert A.extreme_points() == fig1_extreme_points()
+        assert A.decompose(vec(5, 5)).recombine(A) == vec(5, 5)
+        assert len(calls) == done
+
+
 class TestConstruction:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             ConvexSet(TropMatrix([], dim=2))
+
+    def test_from_vectors_needs_a_point(self):
+        with pytest.raises(ValueError, match="a convex set needs at least one point"):
+            ConvexSet.from_vectors([])
+        with pytest.raises(ValueError, match="a convex set needs at least one point"):
+            ConvexSet.from_vectors([], [vec(0, 1)])
 
     def test_zero_rays_stripped_with_warning(self):
         with pytest.warns(UserWarning):

@@ -95,6 +95,15 @@ class TestContains:
 
 
 class TestContainsSet:
+    def test_unknown_side_rejected(self):
+        H = HalfSpace(vec(0, "-inf"), ZERO, vec("-inf", 0), ZERO)
+        A = ConvexSet.from_vectors([vec(0, 0)], [vec(0, 1)])
+        for check in (H.contains, H.contains_ray):
+            with pytest.raises(ValueError, match="side must be 'plus' or 'minus', got 'bogus'"):
+                check(vec(0, 1), "bogus")
+        with pytest.raises(ValueError, match="side must be"):
+            H.contains_set(A, "bogus")
+
     def test_vacuous_bound(self):
         H = HalfSpace(TropVector.zero(2), ZERO, TropVector.zero(2), ZERO)
         assert H.contains_set(fig1_set(), "plus")

@@ -2,7 +2,7 @@
 
 import random
 
-from maxplus import Cone, ConvexSet, MaxPlusScalar, TropMatrix, TropVector, ZERO
+from maxplus import Cone, ConvexSet, MaxPlusScalar, NotMember, TropMatrix, TropVector, ZERO
 
 NEG = float("-inf")
 
@@ -86,6 +86,17 @@ def rand_set_member(rng: random.Random, A: ConvexSet) -> TropVector:
     for r in A.rays:
         out = out.join(r.scale(rand_scalar(rng, lo=-3, hi=3, p_zero=0.5)))
     return out
+
+
+def outcome(call):
+    """What ``call()`` returns, or the refusal it raises (with the projection
+    a NotMember carries), so answers and refusals compare alike."""
+    try:
+        return call()
+    except NotMember as exc:
+        return ("NotMember", exc.projection)
+    except ArithmeticError as exc:
+        return ("ArithmeticError", str(exc))
 
 
 def fig1_set() -> ConvexSet:
