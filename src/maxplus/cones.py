@@ -60,19 +60,21 @@ def _rows(vectors) -> list[tuple[int, tuple]]:
     return rows
 
 
-def _covered(rows: list[tuple[int, tuple]], j: int) -> bool:
-    """Whether row j is the max-plus combination of the other rows (``_rows``).
+def _covered(rows: list, row: tuple[int, tuple], skip: int | None = None) -> bool:
+    """Whether ``row`` is a max-plus combination of ``rows`` (all ``_rows``
+    entries), leaving out ``rows[skip]``.
 
-    Each other row g enters at its greatest scale
-    lam = min over finite g_i of x_i - g_i, x being row j; x is covered when
-    these scaled rows reach it on every coordinate.  The float operations
-    are those of ``project``, so the answer equals ``project(others, x) == x``.
+    Each row g enters at its greatest scale lam = min over finite g_i of
+    x_i - g_i, x being the coordinates of ``row``; x is covered when these
+    scaled rows reach it on every coordinate.  The float operations are
+    those of ``project``, so the answer equals ``project(M, x) == x`` for M
+    the rows taken.
     """
-    support, x = rows[j]
+    support, x = row
     cover = [-math.inf] * len(x)
     for k, (g_support, g) in enumerate(rows):
         # g finite where x is -inf gives lam = -inf: g adds nothing
-        if k == j or g_support & ~support:
+        if k == skip or g_support & ~support:
             continue
         lam = math.inf
         for xi, gi in zip(x, g):
@@ -146,7 +148,8 @@ class Cone:
         """
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
-        return not _covered(_rows(self._generators.columns), k)
+        rows = _rows(self._generators.columns)
+        return not _covered(rows, rows[k], k)
 
     def _basis_entries(self) -> tuple[tuple[TropVector, int], ...]:
         """(normalized generator, original index) per extreme ray.
@@ -161,7 +164,7 @@ class Cone:
                 seen.setdefault(_ray_normalize(g), idx)
             entries = sorted(seen.items(), key=lambda e: e[0].sort_key())
             rows = _rows(norm for norm, _ in entries)
-            self._basis = tuple(e for j, e in enumerate(entries) if not _covered(rows, j))
+            self._basis = tuple(e for j, e in enumerate(entries) if not _covered(rows, rows[j], j))
         return self._basis
 
     def extract_basis(self) -> "Cone":

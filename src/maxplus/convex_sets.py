@@ -183,8 +183,8 @@ class ConvexSet:
                 "vector is not a member of the convex set",
                 TropVector(list(proj)[: self.dim]),
             )
-        rows = _rows([g for g in cone.generators if g != lifted_x] + [lifted_x])
-        return not _covered(rows, len(rows) - 1)
+        others = _rows(g for g in cone.generators if g != lifted_x)
+        return not _covered(others, _rows([lifted_x])[0])
 
     def to_json(self) -> dict:
         return {"points": self._points.to_json(), "rays": self._rays.to_json()}

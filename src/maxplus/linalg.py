@@ -180,14 +180,6 @@ class TropMatrix:
     def __getitem__(self, k: int) -> TropVector:
         return self._columns[k]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TropMatrix):
-            return NotImplemented
-        return self._columns == other._columns and self._dim == other._dim
-
-    def __hash__(self) -> int:
-        return hash((self._columns, self._dim))
-
     def __repr__(self) -> str:
         return f"TropMatrix({list(self._columns)!r})"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from .cones import _covered, _rows
 from .convex_sets import ConvexSet
 from .linalg import TropVector
 
@@ -60,7 +61,10 @@ def _fmt(x: float) -> str:
 
 
 def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> list[str]:
-    """Row-major membership sampling, merged into horizontal run rectangles."""
+    """Row-major membership sampling, merged into horizontal run rectangles:
+    (x, y) is a member when the homogenization's generator rows cover the
+    lifted row (x, y, 0), the removal test of ``ConvexSet.is_extreme``."""
+    rows = _rows(A.homogenize().generators)
     rects = []
     dx = (frame.x1 - frame.x0) / grid
     dy = (frame.y1 - frame.y0) / grid
@@ -71,7 +75,7 @@ def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> list[str]:
             inside = False
             if col < grid:
                 x = frame.x0 + (col + 0.5) * dx
-                inside = A.member(TropVector.of(x, y))
+                inside = _covered(rows, (0b111, (x, y, 0.0)))  # all finite
             if inside and run_start is None:
                 run_start = col
             elif not inside and run_start is not None:
@@ -92,6 +96,9 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
     if A.dim != 2:
         raise ValueError(f"rendering needs a 2-dimensional set, got dim {A.dim}")
     frame = _Frame(A)
+    # finite width and height keep every grid point and pixel finite
+    if not (math.isfinite(frame.width) and math.isfinite(frame.height)):
+        raise ValueError("set is too large to render: its frame overflows a float")
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

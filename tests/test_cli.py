@@ -1,13 +1,18 @@
+import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from maxplus import ConvexSet, TropMatrix, render
 from maxplus.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SELF_CHECK, main
+
+from util import mixed_vectors, reference_shading_rects
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIG1 = str(DATA / "fig1.json")
@@ -171,6 +176,40 @@ class TestRender:
         code, _, err = run(capsys, "render", "--cone", REC, "--grid", "20", "--out", str(out))
         assert code == EXIT_OK, err
         ET.fromstring(out.read_text())
+
+    # sha256 of stdout, pinned from the per-cell membership renderer
+    @pytest.mark.parametrize("argv, digest", [
+        (("--set", FIG1), "76d6b6e62e1d3bb208c85614eb5bf78d830cee23ff8682653075bed10918b61b"),
+        (("--cone", REC, "--grid", "20"),
+         "f3ed90bde08f30aff4c4543439846f351be85ae82dd18243a9fba992afed4c5c"),
+    ])
+    def test_golden_output(self, capsys, argv, digest):
+        code, out, err = run(capsys, "render", *argv)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_shading_matches_member_loop(self):
+        """Mixed 2D sets: -inf coordinates, rays with a -inf entry and, for
+        half the sets, one-decimal values."""
+        rng = random.Random(28)
+        shaded = 0
+        for _ in range(200):
+            vectors = mixed_vectors(rng, 2, tenths=rng.random() < 0.5)
+            p = rng.randint(1, len(vectors))
+            A = ConvexSet(TropMatrix(vectors[:p], dim=2), TropMatrix(vectors[p:], dim=2))
+            frame = render._Frame(A)
+            grid = rng.randint(1, 12)
+            rects = render._shading_rects(A, frame, grid)
+            assert rects == reference_shading_rects(A, frame, grid)
+            shaded += bool(rects)
+        assert shaded > 100
+
+    def test_overflowing_frame_rejected(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"points": [[-1.7e308, 0], [1.7e308, 0]]}))
+        code, out, err = run(capsys, "render", "--set", str(path))
+        assert code == EXIT_PARSE
+        assert out == "" and "too large to render" in err and "Traceback" not in err
 
     def test_grid_zero_rejected(self, capsys):
         code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "0")

@@ -280,7 +280,7 @@ class TestBasisCache:
         calls = []
         covered = cones_module._covered
         monkeypatch.setattr(
-            cones_module, "_covered", lambda rows, j: calls.append(j) or covered(rows, j)
+            cones_module, "_covered", lambda *args: calls.append(args) or covered(*args)
         )
         C = cone((0, 1), (2, 0), (2, 1), (4, 2))
         first = C.decompose(vec(2, 1))

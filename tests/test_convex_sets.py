@@ -379,7 +379,7 @@ class TestHomogenizationCache:
         calls = []
         covered = cones_module._covered
         monkeypatch.setattr(
-            cones_module, "_covered", lambda rows, j: calls.append(j) or covered(rows, j)
+            cones_module, "_covered", lambda *args: calls.append(args) or covered(*args)
         )
         A = fig1_set()
         assert A.extreme_points() == fig1_extreme_points()

@@ -154,4 +154,5 @@ class TestMatrix:
 
     def test_json_round_trip(self):
         M = mat((0, 1), (2, "-inf"))
-        assert TropMatrix.from_json(M.to_json()) == M
+        back = TropMatrix.from_json(M.to_json())
+        assert (back.columns, back.dim) == (M.columns, M.dim)

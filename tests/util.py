@@ -3,6 +3,7 @@
 import random
 
 from maxplus import Cone, ConvexSet, MaxPlusScalar, NotMember, TropMatrix, TropVector, ZERO
+from maxplus.render import PX_PER_UNIT, _fmt
 
 NEG = float("-inf")
 
@@ -97,6 +98,35 @@ def outcome(call):
         return ("NotMember", exc.projection)
     except ArithmeticError as exc:
         return ("ArithmeticError", str(exc))
+
+
+def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
+    """The render grid as one ``A.member`` call per cell, merged into
+    horizontal run rectangles: what ``render._shading_rects`` must draw."""
+    rects = []
+    dx = (frame.x1 - frame.x0) / grid
+    dy = (frame.y1 - frame.y0) / grid
+    for row in range(grid):
+        y = frame.y1 - (row + 0.5) * dy
+        run_start = None
+        for col in range(grid + 1):
+            inside = False
+            if col < grid:
+                x = frame.x0 + (col + 0.5) * dx
+                inside = A.member(TropVector.of(x, y))
+            if inside and run_start is None:
+                run_start = col
+            elif not inside and run_start is not None:
+                x_left = frame.px(frame.x0 + run_start * dx)
+                x_right = frame.px(frame.x0 + col * dx)
+                y_top = frame.py(y + dy / 2)
+                rects.append(
+                    f'<rect x="{_fmt(x_left)}" y="{_fmt(y_top)}" '
+                    f'width="{_fmt(x_right - x_left)}" height="{_fmt(dy * PX_PER_UNIT)}" '
+                    f'fill="#c8d8f0"/>'
+                )
+                run_start = None
+    return rects
 
 
 def fig1_set() -> ConvexSet:
