@@ -91,11 +91,11 @@ def _emit(doc: dict, out: str | None) -> None:
     _write(json.dumps(doc, indent=2) + "\n", out)
 
 
-def _geometry(args, need_one=True):
+def _geometry(args):
     """Resolve --cone/--set into (cone, convex_set); exactly one may be given."""
-    cone = _load("--cone", args.cone, Cone.from_json) if getattr(args, "cone", None) else None
-    cset = _load("--set", args.set, ConvexSet.from_json) if getattr(args, "set", None) else None
-    if need_one and (cone is None) == (cset is None):
+    cone = _load("--cone", args.cone, Cone.from_json) if args.cone else None
+    cset = _load("--set", args.set, ConvexSet.from_json) if args.set else None
+    if (cone is None) == (cset is None):
         raise ParseFailure("exactly one of --cone or --set is required")
     return cone, cset
 
@@ -103,20 +103,16 @@ def _geometry(args, need_one=True):
 def _cmd_member(args) -> int:
     cone, cset = _geometry(args)
     x = _parse_vector(args.x)
+    n = x.dim
     try:
-        if cone is not None:
-            proj = cone.project(x)
-            member = vectors_equal(proj, x, args.tolerance)
-        else:
-            lifted = cset.lifted_projection(x)
-            proj = TropVector(list(lifted)[: cset.dim])
-            target_matches = vectors_equal(proj, x, args.tolerance)
-            member = target_matches and not lifted[cset.dim].is_zero and abs(
-                lifted[cset.dim].as_float()
-            ) <= args.tolerance
+        if cset is not None:
+            # a set holds x when its homogenization holds (x, 0)
+            cone, x = cset.homogenize(), cset.lift(x)
+        proj = cone.project(x)
     except DimensionMismatch as exc:
         raise ParseFailure(f"--x: {exc}") from None
-    _emit({"member": member, "projection": proj.to_json()}, args.out)
+    member = vectors_equal(proj, x, args.tolerance)
+    _emit({"member": member, "projection": proj.to_json()[:n]}, args.out)
     return EXIT_OK
 
 

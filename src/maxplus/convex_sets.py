@@ -9,10 +9,6 @@ from .linalg import DimensionMismatch, Record, TropMatrix, TropVector
 from .semiring import ONE, ZERO, MaxPlusScalar
 
 
-def _lift(v: TropVector, last: MaxPlusScalar) -> TropVector:
-    return TropVector(list(v) + [last])
-
-
 class SetDecomposition(Record):
     """Certificate: target = convex combination of extreme points, plus rays.
 
@@ -95,33 +91,28 @@ class ConvexSet:
         same cone is returned on every call, so its basis is computed once.
         """
         if self._cone is None:
-            lifted = [_lift(p, ONE) for p in self._points.columns]
-            lifted += [_lift(r, ZERO) for r in self._rays.columns]
+            lifted = [TropVector((*p, ONE)) for p in self._points.columns]
+            lifted += [TropVector((*r, ZERO)) for r in self._rays.columns]
             self._cone = Cone(TropMatrix(lifted, dim=self.dim + 1))
         return self._cone
 
-    def lifted_projection(self, x: TropVector) -> TropVector:
-        """Projection of (x, 0) onto the homogenization cone, in n+1 dims."""
+    def lift(self, x: TropVector) -> TropVector:
+        """(x, 0): the point x in the dimension of the homogenization."""
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
-        return self.homogenize().project(_lift(x, ONE))
+        return TropVector((*x, ONE))
 
     def member(self, x: TropVector) -> bool:
-        return self.lifted_projection(x) == _lift(x, ONE)
+        return self.homogenize().member(self.lift(x))
 
     def extreme_points(self) -> list[TropVector]:
         """All extreme points, lex-sorted (with -inf below every finite value).
 
-        These are the basis generators of the homogenization cone whose last
-        coordinate is finite, rescaled so that coordinate is 0.
+        These are the input points whose lift spans a ray the basis of the
+        homogenization keeps, so each is returned as given, without arithmetic.
         """
-        out = []
-        for g in self.homogenize().extract_basis().generators:
-            last = g[self.dim]
-            if last.is_zero:
-                continue
-            rescaled = g.scale(MaxPlusScalar(-last.as_float()))
-            out.append(TropVector(list(rescaled)[: self.dim]))
+        p = self._points.ncols
+        out = [self._points[idx] for _, idx in self.homogenize()._basis_entries() if idx < p]
         out.sort(key=lambda v: v.sort_key())
         return out
 
@@ -132,7 +123,7 @@ class ConvexSet:
     def decompose(self, x: TropVector) -> SetDecomposition:
         """Write a member as a convex combination of extreme points plus
         extreme recession rays, with at most dim + 1 terms in total."""
-        lifted_x = _lift(x, ONE)
+        lifted_x = self.lift(x)
         cone = self.homogenize()
         try:
             cone_dec = cone.decompose(lifted_x)
@@ -176,7 +167,7 @@ class ConvexSet:
         it.  O(mn) for m generators in dimension n.
         """
         cone = self.homogenize()
-        lifted_x = _lift(x, ONE)
+        lifted_x = self.lift(x)
         proj = cone.project(lifted_x)
         if proj != lifted_x:
             raise NotMember(

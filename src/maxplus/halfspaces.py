@@ -41,20 +41,18 @@ class HalfSpace(Record):
     def dim(self) -> int:
         return self.plus_coeffs.dim
 
-    def _sides(self, x: TropVector, tolerance: float = 0.0):
-        lhs = eval_form(self.plus_coeffs, x) + self.plus_const
-        rhs = eval_form(self.minus_coeffs, x) + self.minus_const
-        if tolerance:
-            slack = MaxPlusScalar(tolerance)
-            return lhs * slack, rhs * slack, lhs, rhs
-        return lhs, rhs, lhs, rhs
-
     def contains(self, x: TropVector, side: str, tolerance: float = 0.0) -> bool:
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
         _check_side(side)
-        lhs_relaxed, rhs_relaxed, lhs, rhs = self._sides(x, tolerance)
-        return lhs_relaxed >= rhs if side == "plus" else rhs_relaxed >= lhs
+        lhs = eval_form(self.plus_coeffs, x) + self.plus_const
+        rhs = eval_form(self.minus_coeffs, x) + self.minus_const
+        if side == "minus":
+            lhs, rhs = rhs, lhs
+        if tolerance:
+            # relax the side that must be the larger; a -inf stays -inf
+            lhs = lhs * MaxPlusScalar(tolerance)
+        return lhs >= rhs
 
     def contains_ray(self, r: TropVector, side: str) -> bool:
         """Homogeneous inequality for a recession direction (constants drop)."""

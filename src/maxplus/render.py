@@ -123,12 +123,13 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
         f'<text x="2" y="{_fmt(frame.height - 4)}" font-size="10" fill="#888888">-inf</text>'
     )
 
-    # origin cross
+    # origin cross, unless the origin lies too far from the frame for a float
     ox, oy = frame.px(0.0), frame.py(0.0)
-    parts.append(
-        f'<path d="M {_fmt(ox - 6)} {_fmt(oy)} H {_fmt(ox + 6)} '
-        f'M {_fmt(ox)} {_fmt(oy - 6)} V {_fmt(oy + 6)}" stroke="black" stroke-width="1"/>'
-    )
+    if math.isfinite(ox) and math.isfinite(oy):
+        parts.append(
+            f'<path d="M {_fmt(ox - 6)} {_fmt(oy)} H {_fmt(ox + 6)} '
+            f'M {_fmt(ox)} {_fmt(oy - 6)} V {_fmt(oy + 6)}" stroke="black" stroke-width="1"/>'
+        )
 
     # rays drawn as arrows anchored at the join of all points (a member)
     anchor = A.points[0]
@@ -138,13 +139,11 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
     for r in A.rays:
         rx = r[0].as_float()
         ry = r[1].as_float()
-        # direction of travel in the affine chart as the scale grows
+        # direction of travel in the affine chart as the scale grows: the
+        # all-ones shift of the finite support (not empty: no zero rays)
         dirx = 0.0 if rx == -math.inf else 1.0
         diry = 0.0 if ry == -math.inf else 1.0
-        if rx != -math.inf and ry != -math.inf:
-            # ray direction is the all-ones shift of the finite support
-            dirx, diry = 1.0, 1.0
-        norm = math.hypot(dirx, diry) or 1.0
+        norm = math.hypot(dirx, diry)
         length = 1.5 * PX_PER_UNIT
         tipx = ax + dirx / norm * length
         tipy = ay - diry / norm * length
@@ -156,11 +155,10 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
             f'<circle cx="{_fmt(tipx)}" cy="{_fmt(tipy)}" r="3" fill="#336699"/>'
         )
 
-    extreme = set(A.extreme_points())
     for p in A.points:
         x, y = frame.point_px(p)
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="#777777"/>')
-    for p in sorted(extreme, key=lambda v: v.sort_key()):
+    for p in A.extreme_points():
         x, y = frame.point_px(p)
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="none" '

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -55,6 +56,34 @@ class TestMember:
         )
         assert doc["member"] is True
 
+    def test_set_tolerance_flag(self, capsys):
+        doc = run_json(
+            capsys, "member", "--set", FIG1, "--x", "[5.0000001,2]", "--tolerance", "1e-5"
+        )
+        assert doc == {"member": True, "projection": [5, 2]}
+
+    def test_set_tolerance_never_matches_a_zero_last_coordinate(self, capsys):
+        # no lifted generator fits below (-inf, 3, 0): the projection's last
+        # coordinate is -inf, which no tolerance matches to 0
+        doc = run_json(
+            capsys, "member", "--set", FIG1, "--x", '["-inf",3]', "--tolerance", "1e9"
+        )
+        assert doc == {"member": False, "projection": ["-inf", "-inf"]}
+
+    def test_set_reached_by_rays_alone_is_not_a_member(self, capsys, tmp_path):
+        # the ray reaches (-inf, 5) exactly, but only as (-inf, 5, -inf)
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps({"points": [[0, 0]], "rays": [["-inf", 0]]}))
+        doc = run_json(
+            capsys, "member", "--set", str(path), "--x", '["-inf",5]', "--tolerance", "1e9"
+        )
+        assert doc == {"member": False, "projection": ["-inf", 5]}
+
+    def test_set_dimension_mismatch(self, capsys):
+        code, out, err = run(capsys, "member", "--set", FIG1, "--x", "[1,2,3]")
+        assert code == EXIT_PARSE
+        assert err == "error: --x: dim 2 vs 3\n" and out == ""
+
     def test_requires_exactly_one_geometry(self, capsys):
         code, _, err = run(capsys, "member", "--x", "[1,2]")
         assert code == EXIT_PARSE
@@ -95,6 +124,11 @@ class TestDecompose:
         doc = json.loads(out)
         assert doc["error"] == "not a member"
         assert "projection" in doc
+
+    def test_set_dimension_mismatch(self, capsys):
+        code, out, err = run(capsys, "decompose", "--set", FIG1, "--x", "[1,2,3]")
+        assert code == EXIT_PARSE
+        assert err == "error: --x: dim 2 vs 3\n" and out == ""
 
     def test_one_decimal_member(self, capsys, tmp_path):
         f = tmp_path / "cone.json"
@@ -210,6 +244,15 @@ class TestRender:
         code, out, err = run(capsys, "render", "--set", str(path))
         assert code == EXIT_PARSE
         assert out == "" and "too large to render" in err and "Traceback" not in err
+
+    def test_far_origin_draws_no_cross(self, capsys, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"points": [[1e308, 1e308]]}))
+        code, svg, err = run(capsys, "render", "--set", str(path))
+        assert code == EXIT_OK, err
+        ET.fromstring(svg)
+        # the "-inf" band label is element text, not an attribute value
+        assert re.search(r'="[^"]*inf', svg) is None
 
     def test_grid_zero_rejected(self, capsys):
         code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "0")

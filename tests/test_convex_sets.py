@@ -6,6 +6,7 @@ from maxplus import cones as cones_module
 from maxplus import (
     Cone,
     ConvexSet,
+    DimensionMismatch,
     MaxPlusScalar,
     NotMember,
     TropMatrix,
@@ -25,6 +26,7 @@ from util import (
     outcome,
     rand_set,
     rand_set_member,
+    reference_extreme_points,
     same_ray,
     vec,
 )
@@ -50,6 +52,12 @@ class TestHomogenize:
     def test_point_plus_ray(self):
         A = ConvexSet.from_vectors([vec(0, 0)], [vec(0, 1)])
         assert list(A.homogenize().generators) == [vec(0, 0, 0), vec(0, 1, "-inf")]
+
+    def test_lift(self):
+        A = fig1_set()
+        assert A.lift(vec(1, "-inf")) == vec(1, "-inf", 0)
+        with pytest.raises(DimensionMismatch, match="dim 2 vs 3"):
+            A.lift(vec(1, 2, 3))
 
 
 class TestMember:
@@ -90,6 +98,26 @@ class TestExtremePoints:
 
     def test_singleton(self):
         assert ConvexSet.from_vectors([vec(0, 0)]).extreme_points() == [vec(0, 0)]
+
+    def test_near_overflow_point_returned_as_given(self):
+        A = ConvexSet.from_vectors([vec(-1e308, 1e308), vec(0, 0)])
+        assert A.extreme_points() == [vec(-1e308, 1e308), vec(0, 0)]
+        assert all(A.is_extreme(p) for p in A.extreme_points())
+
+    def test_input_points_on_mixed_sets(self):
+        """Every extreme point is an input point; on integer sets the list is
+        the one read off the normalized lifted basis."""
+        rng = random.Random(81)
+        for k in range(200):
+            n = rng.randint(1, 4)
+            tenths = k % 2 == 1
+            points = mixed_vectors(rng, n, tenths)
+            rays = mixed_vectors(rng, n, tenths)[: rng.randint(0, 3)]
+            A = ConvexSet.from_vectors(points, rays)
+            ext = A.extreme_points()
+            assert ext and all(p in A.points for p in ext)
+            if not tenths:
+                assert ext == reference_extreme_points(A)
 
 
 class TestRecession:
@@ -149,6 +177,10 @@ class TestDecompose:
     def test_non_member_raises(self):
         with pytest.raises(NotMember):
             fig1_set().decompose(vec(0, 0))
+
+    def test_dimension_mismatch_names_the_set_dims(self):
+        with pytest.raises(DimensionMismatch, match="dim 2 vs 3"):
+            fig1_set().decompose(vec(1, 2, 3))
 
     def test_compact_certificates_random(self):
         rng = random.Random(33)
@@ -298,6 +330,10 @@ class TestIsExtreme:
     def test_non_member_raises(self):
         with pytest.raises(NotMember):
             fig1_set().is_extreme(vec(0, 0))
+
+    def test_dimension_mismatch_names_the_set_dims(self):
+        with pytest.raises(DimensionMismatch, match="dim 2 vs 3"):
+            fig1_set().is_extreme(vec(1, 2, 3))
 
     def test_remark_on_extreme_combinations(self):
         # if an extreme point equals a convex combination of two members,

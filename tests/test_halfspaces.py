@@ -59,6 +59,21 @@ class TestContains:
         _, _, H, p = face_instance
         assert H.contains(p, "plus") and H.contains(p, "minus")
 
+    # plus side: x_0 >= 0; minus side: the same inequality written mirrored
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("x, expect", [
+        (vec(-1e-6, 0), True),
+        (vec(-1e-4, 0), False),
+        (vec("-inf", 0), False),
+    ])
+    def test_tolerance_relaxes_the_larger_side(self, side, x, expect):
+        form, const = (vec(0, "-inf"), ZERO), (TropVector.zero(2), MaxPlusScalar(0))
+        H = HalfSpace(*form, *const) if side == "plus" else HalfSpace(*const, *form)
+        assert not H.contains(x, side)
+        assert H.contains(x, side, 1e-5) is expect
+        if x[0].is_zero:
+            assert not H.contains(x, side, 1e9)
+
     def test_sides_cover_everything(self):
         rng = random.Random(41)
         for _ in range(500):

@@ -129,6 +129,19 @@ def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
     return rects
 
 
+def reference_extreme_points(A: ConvexSet) -> list:
+    """Extreme points read off the normalized basis of the homogenization:
+    each generator with a finite last coordinate, shifted so that coordinate
+    is 0 and cut back to the set's dimension, lex-sorted."""
+    out = []
+    for g in A.homogenize().extract_basis().generators:
+        last = g[A.dim]
+        if not last.is_zero:
+            rescaled = g.scale(MaxPlusScalar(-last.as_float()))
+            out.append(TropVector(list(rescaled)[: A.dim]))
+    return sorted(out, key=lambda v: v.sort_key())
+
+
 def fig1_set() -> ConvexSet:
     return ConvexSet.from_vectors(
         [vec(5, 2), vec(4, 0), vec(3, 2), vec(1, 3), vec(2, 5)],
