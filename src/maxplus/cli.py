@@ -196,19 +196,19 @@ def _cmd_halfspace_check(args) -> int:
     hs = _load("--halfspace", args.halfspace, HalfSpace.from_json)
     if args.x is not None and args.set is not None:
         raise ParseFailure("give either --x or --set, not both")
+    if args.x is not None:
+        flag, key, test = "--x", "contains", hs.contains
+        arg = _parse_vector(args.x)
+    elif args.set is not None:
+        flag, key, test = "--set", "contains_set", hs.contains_set
+        arg = _load("--set", args.set, ConvexSet.from_json)
+    else:
+        raise ParseFailure("one of --x or --set is required")
     try:
-        if args.x is not None:
-            x = _parse_vector(args.x)
-            verdict = hs.contains(x, args.side, args.tolerance)
-            _emit({"contains": verdict}, args.out)
-        elif args.set is not None:
-            cset = _load("--set", args.set, ConvexSet.from_json)
-            verdict = hs.contains_set(cset, args.side, args.tolerance)
-            _emit({"contains_set": verdict}, args.out)
-        else:
-            raise ParseFailure("one of --x or --set is required")
+        verdict = test(arg, args.side, args.tolerance)
     except DimensionMismatch as exc:
-        raise ParseFailure(f"--halfspace: {exc}") from None
+        raise ParseFailure(f"{flag}: {exc}") from None
+    _emit({key: verdict}, args.out)
     return EXIT_OK
 
 

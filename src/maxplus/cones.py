@@ -51,18 +51,15 @@ def _ray_normalize(g: TropVector) -> TropVector:
     return g.scale(MaxPlusScalar(-g.max_coord().as_float()))
 
 
-def _rows(vectors) -> list[tuple[int, tuple]]:
-    """(bitmask of the finite coordinates, ``sort_key()`` floats) per vector."""
-    rows = []
-    for v in vectors:
-        coords = v.sort_key()
-        rows.append((sum(1 << i for i, c in enumerate(coords) if c != -math.inf), coords))
-    return rows
+def _row(v: TropVector) -> tuple[int, tuple]:
+    """(bitmask of the finite coordinates, ``sort_key()`` floats) of a vector."""
+    coords = v.sort_key()
+    return sum(1 << i for i, c in enumerate(coords) if c != -math.inf), coords
 
 
 def _covered(rows: list, row: tuple[int, tuple], skip: int | None = None) -> bool:
-    """Whether ``row`` is a max-plus combination of ``rows`` (all ``_rows``
-    entries), leaving out ``rows[skip]``.
+    """Whether ``row`` is a max-plus combination of ``rows`` (all ``_row``
+    values), leaving out ``rows[skip]``.
 
     Each row g enters at its greatest scale lam = min over finite g_i of
     x_i - g_i, x being the coordinates of ``row``; x is covered when these
@@ -98,7 +95,8 @@ class Cone:
 
     Zero-vector generators are stripped at construction (with a warning):
     they contribute nothing and break ray normalization.  A cone is
-    immutable, so its basis is computed on first use and then reused.
+    immutable, so its generator rows and its basis are computed on first
+    use and then reused.
     """
 
     def __init__(self, generators: TropMatrix):
@@ -106,6 +104,7 @@ class Cone:
         if len(kept) != generators.ncols:
             warnings.warn("dropping zero-vector generators from cone", stacklevel=2)
         self._generators = TropMatrix(kept, dim=generators.dim)
+        self._table = None
         self._basis = None
 
     @classmethod
@@ -135,8 +134,23 @@ class Cone:
     def member(self, x: TropVector) -> bool:
         return self.project(x) == x
 
+    def _generator_rows(self) -> list[tuple[int, tuple]]:
+        """``_row`` of each generator, built on first use."""
+        if self._table is None:
+            self._table = [_row(g) for g in self._generators.columns]
+        return self._table
+
+    def _covers(self, x: TropVector) -> bool:
+        """``member(x)``, for x of the cone's dimension, as the removal test
+        on the generator rows."""
+        return _covered(self._generator_rows(), _row(x))
+
     def contains_cone(self, other: "Cone") -> bool:
-        return all(self.member(g) for g in other.generators)
+        """Every generator of ``other`` is a member (the removal test)."""
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+        rows = self._generator_rows()
+        return all(_covered(rows, row) for row in other._generator_rows())
 
     def is_extreme_generator(self, k: int) -> bool:
         """Generator k is not a max-plus combination of the other generators.
@@ -148,7 +162,7 @@ class Cone:
         """
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
-        rows = _rows(self._generators.columns)
+        rows = self._generator_rows()
         return not _covered(rows, rows[k], k)
 
     def _basis_entries(self) -> tuple[tuple[TropVector, int], ...]:
@@ -163,7 +177,7 @@ class Cone:
             for idx, g in enumerate(self._generators.columns):
                 seen.setdefault(_ray_normalize(g), idx)
             entries = sorted(seen.items(), key=lambda e: e[0].sort_key())
-            rows = _rows(norm for norm, _ in entries)
+            rows = [_row(norm) for norm, _ in entries]
             self._basis = tuple(e for j, e in enumerate(entries) if not _covered(rows, rows[j], j))
         return self._basis
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 
-from .cones import Cone, NotMember, _covered, _rows
+from .cones import Cone, NotMember, _covered, _row, cones_equal
 from .linalg import DimensionMismatch, Record, TropMatrix, TropVector
 from .semiring import ONE, ZERO, MaxPlusScalar
 
@@ -103,7 +103,7 @@ class ConvexSet:
         return TropVector((*x, ONE))
 
     def member(self, x: TropVector) -> bool:
-        return self.homogenize().member(self.lift(x))
+        return self.homogenize()._covers(self.lift(x))
 
     def extreme_points(self) -> list[TropVector]:
         """All extreme points, lex-sorted (with -inf below every finite value).
@@ -117,8 +117,12 @@ class ConvexSet:
         return out
 
     def recession(self) -> Cone:
-        """Recession cone, as the basis of the cone generated by the rays."""
-        return Cone(self._rays).extract_basis()
+        """Recession cone: the basis of the rays' cone, read off the lifted
+        basis (a lifted ray, -inf last, is covered by lifted rays only)."""
+        p = self._points.ncols
+        basis = self.homogenize()._basis_entries()
+        rays = [TropVector(list(norm)[: self.dim]) for norm, idx in basis if idx >= p]
+        return Cone(TropMatrix(rays, dim=self.dim))
 
     def decompose(self, x: TropVector) -> SetDecomposition:
         """Write a member as a convex combination of extreme points plus
@@ -174,8 +178,8 @@ class ConvexSet:
                 "vector is not a member of the convex set",
                 TropVector(list(proj)[: self.dim]),
             )
-        others = _rows(g for g in cone.generators if g != lifted_x)
-        return not _covered(others, _rows([lifted_x])[0])
+        row = _row(lifted_x)
+        return not _covered([r for r in cone._generator_rows() if r != row], row)
 
     def to_json(self) -> dict:
         return {"points": self._points.to_json(), "rays": self._rays.to_json()}
@@ -190,10 +194,8 @@ class ConvexSet:
 
 
 def sets_equal(a: ConvexSet, b: ConvexSet) -> bool:
-    """Set equality by mutual membership of points plus mutual ray containment."""
-    if not all(b.member(p) for p in a.points):
-        return False
-    if not all(a.member(p) for p in b.points):
-        return False
-    ra, rb = Cone(a.rays), Cone(b.rays)
-    return ra.contains_cone(rb) and rb.contains_cone(ra)
+    """Set equality as equality of the homogenizations: mutual membership of
+    the points plus mutual containment of the rays' cones."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    return cones_equal(a.homogenize(), b.homogenize())

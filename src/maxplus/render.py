@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .cones import _covered, _rows
+from .cones import _covered
 from .convex_sets import ConvexSet
 from .linalg import TropVector
 
@@ -62,9 +62,9 @@ def _fmt(x: float) -> str:
 
 def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> list[str]:
     """Row-major membership sampling, merged into horizontal run rectangles:
-    (x, y) is a member when the homogenization's generator rows cover the
-    lifted row (x, y, 0), the removal test of ``ConvexSet.is_extreme``."""
-    rows = _rows(A.homogenize().generators)
+    (x, y) is a member when the homogenization's cached generator rows cover
+    the lifted row (x, y, 0), the test of ``ConvexSet.member``."""
+    rows = A.homogenize()._generator_rows()
     rects = []
     dx = (frame.x1 - frame.x0) / grid
     dy = (frame.y1 - frame.y0) / grid

@@ -187,6 +187,20 @@ class TestHalfspaceCheck:
         code, _, err = run(capsys, "halfspace-check", "--halfspace", self.HS)
         assert code == EXIT_PARSE
 
+    def test_wrong_dimension_vector_names_x(self, capsys):
+        code, out, err = run(
+            capsys, "halfspace-check", "--halfspace", self.HS, "--x", "[0,0,0,0,0]"
+        )
+        assert code == EXIT_PARSE
+        assert err == "error: --x: dim 2 vs 5\n" and out == ""
+
+    def test_wrong_dimension_set_names_set(self, capsys, tmp_path):
+        path = tmp_path / "set3.json"
+        path.write_text(json.dumps({"points": [[0, 1, 2]]}))
+        code, out, err = run(capsys, "halfspace-check", "--halfspace", self.HS, "--set", str(path))
+        assert code == EXIT_PARSE
+        assert err == "error: --set: dim 2 vs 3\n" and out == ""
+
 
 class TestRender:
     def test_valid_svg(self, capsys, tmp_path):

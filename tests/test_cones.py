@@ -5,6 +5,7 @@ import pytest
 from maxplus import cones as cones_module
 from maxplus import (
     Cone,
+    DimensionMismatch,
     MaxPlusScalar,
     NotMember,
     TropMatrix,
@@ -289,6 +290,16 @@ class TestBasisCache:
         assert C.decompose(vec(2, 1)) == first
         assert C.extract_basis().ngens == 2
         assert len(calls) == done
+
+
+class TestContainsCone:
+    def test_rays_of_a_cone_in_a_larger_cone(self):
+        assert cone((0, 1), (2, 0)).contains_cone(cone((2, 1)))
+        assert not cone((2, 1)).contains_cone(cone((0, 1), (2, 0)))
+
+    def test_dimension_checked_before_any_generator(self):
+        with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):
+            cone((0, 1)).contains_cone(Cone(TropMatrix([], dim=3)))
 
 
 class TestConstruction:

@@ -26,7 +26,11 @@ from util import (
     outcome,
     rand_set,
     rand_set_member,
+    reference_contains_cone,
     reference_extreme_points,
+    reference_member,
+    reference_recession,
+    reference_sets_equal,
     same_ray,
     vec,
 )
@@ -424,6 +428,82 @@ class TestHomogenizationCache:
         assert A.extreme_points() == fig1_extreme_points()
         assert A.decompose(vec(5, 5)).recombine(A) == vec(5, 5)
         assert len(calls) == done
+
+
+class TestCachedRows:
+    """Set membership, set and cone equality and the recession cone read the
+    cached generator rows; they answer as the ``project``-based definitions."""
+
+    def test_seeded_corpus_matches_reference(self):
+        rng = random.Random(73)
+        seen = {"member": set(), "sets_equal": set(), "contains_cone": set()}
+        for case in range(150):
+            n = rng.randint(1, 4)
+            tenths, huge = case % 3 == 1, case % 3 == 2
+            points = mixed_vectors(rng, n, tenths, huge)
+            rays = mixed_vectors(rng, n, tenths, huge)[: rng.randint(0, 3)]
+            A = ConvexSet.from_vectors(points, rays)
+
+            rec = A.recession()
+            assert list(rec.generators) == list(reference_recession(A).generators)
+            assert rec.dim == n
+
+            targets = list(points[:2]) + mixed_vectors(rng, n, tenths, huge)[:2]
+            x = TropVector.zero(n)
+            for p in points:
+                k = rng.randint(-30, 0)
+                x = x.join(p.scale(MaxPlusScalar(k * 2e306 if huge else k / 10 if tenths else k)))
+            targets.append(x)
+            for t in targets:
+                answer = A.member(t)
+                assert answer == reference_member(A, t)
+                seen["member"].add(answer)
+
+            others = [
+                ConvexSet.from_vectors(A.extreme_points(), list(rec.generators)),
+                ConvexSet.from_vectors(points + targets[2:3], rays),
+                ConvexSet.from_vectors(targets[2:4], rays[:1]),
+            ]
+            for B in others:
+                for X, Y in ((A, B), (B, A)):
+                    answer = sets_equal(X, Y)
+                    assert answer == reference_sets_equal(X, Y)
+                    seen["sets_equal"].add(answer)
+
+            cones = [A.homogenize(), others[0].homogenize(), Cone.from_vectors(points),
+                     Cone(TropMatrix(points + rays, dim=n)), rec]
+            for K in cones:
+                for L in cones:
+                    if K.dim != L.dim:
+                        continue
+                    answer = K.contains_cone(L)
+                    assert answer == reference_contains_cone(K, L)
+                    assert cones_equal(K, L) == (answer and reference_contains_cone(L, K))
+                    seen["contains_cone"].add(answer)
+        assert all(answers == {True, False} for answers in seen.values()), seen
+
+    def test_second_query_builds_no_generator_rows(self, monkeypatch):
+        calls = []
+        row = cones_module._row
+        monkeypatch.setattr(cones_module, "_row", lambda v: calls.append(v) or row(v))
+        A = fig1_set()
+        B = ConvexSet.from_vectors(fig1_extreme_points(), [vec(-1, 0), vec(0, -2)])
+        assert A.member(vec(5, 2)) and not A.member(vec(0, 0))
+        assert sets_equal(A, B) and sets_equal(B, A)
+        assert len(calls) == 2 + 7 + 7  # the two queries, A's and B's lifted generators
+        del calls[:]
+        assert A.member(vec(5, 2)) and not A.member(vec(0, 0))
+        assert calls == [vec(5, 2, 0), vec(0, 0, 0)]
+        del calls[:]
+        assert sets_equal(A, B) and sets_equal(B, A)
+        assert A.homogenize().contains_cone(B.homogenize())
+        assert calls == []
+
+    def test_sets_equal_names_the_set_dimensions(self):
+        with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):
+            sets_equal(fig1_set(), ConvexSet.from_vectors([vec(0, 0, 0)]))
+        with pytest.raises(DimensionMismatch, match="^dim 3 vs 2$"):
+            sets_equal(ConvexSet.from_vectors([vec(0, 0, 0)]), fig1_set())
 
 
 class TestConstruction:

@@ -43,12 +43,16 @@ def rand_cone_member(rng: random.Random, C: Cone) -> TropVector:
     return out
 
 
-def mixed_vectors(rng: random.Random, n: int, tenths: bool) -> list:
+def mixed_vectors(rng: random.Random, n: int, tenths: bool, huge: bool = False) -> list:
     """Nonzero vectors with scaled duplicates, max-plus combinations and
-    -inf entries; one-decimal values when ``tenths``."""
+    -inf entries; one-decimal values when ``tenths``, and multiples of 2e306
+    when ``huge`` (coordinates up to 1e308 in size, so x_i - g_i can
+    overflow while every scaled copy and combination stays finite)."""
 
     def num(lo, hi):
         k = rng.randint(lo, hi)
+        if huge:
+            return k * 2e306
         return k / 10 if tenths else k
 
     def ray():
@@ -100,8 +104,36 @@ def outcome(call):
         return ("ArithmeticError", str(exc))
 
 
+def reference_member(A: ConvexSet, x: TropVector) -> bool:
+    """Set membership by the canonical projection of the homogenization."""
+    lifted = A.lift(x)
+    return A.homogenize().project(lifted) == lifted
+
+
+def reference_contains_cone(a: Cone, b: Cone) -> bool:
+    """Every generator of ``b`` is a member of ``a`` by ``project``."""
+    return all(a.member(g) for g in b.generators)
+
+
+def reference_sets_equal(a: ConvexSet, b: ConvexSet) -> bool:
+    """Mutual membership of the points plus mutual containment of the ray
+    cones, each by ``project``."""
+    ra, rb = Cone(a.rays), Cone(b.rays)
+    return (
+        all(reference_member(b, p) for p in a.points)
+        and all(reference_member(a, p) for p in b.points)
+        and reference_contains_cone(ra, rb)
+        and reference_contains_cone(rb, ra)
+    )
+
+
+def reference_recession(A: ConvexSet) -> Cone:
+    """The basis of the cone generated by the rays alone."""
+    return Cone(A.rays).extract_basis()
+
+
 def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
-    """The render grid as one ``A.member`` call per cell, merged into
+    """The render grid as one ``reference_member`` call per cell, merged into
     horizontal run rectangles: what ``render._shading_rects`` must draw."""
     rects = []
     dx = (frame.x1 - frame.x0) / grid
@@ -113,7 +145,7 @@ def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
             inside = False
             if col < grid:
                 x = frame.x0 + (col + 0.5) * dx
-                inside = A.member(TropVector.of(x, y))
+                inside = reference_member(A, TropVector.of(x, y))
             if inside and run_start is None:
                 run_start = col
             elif not inside and run_start is not None:
