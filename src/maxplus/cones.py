@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, left_residual, project
+from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, project
 from .semiring import MaxPlusScalar
 
 
@@ -189,23 +189,33 @@ class Cone:
     def decompose(self, x: TropVector) -> ConeDecomposition:
         """Write a member as a max-plus sum of at most dim extreme generators.
 
-        Each extreme ray enters as the generator ``_basis_entries`` kept for
-        it, scaled by its residual (``left_residual``), which keeps it below
-        x.  Per finite coordinate of x the first of these in basis order that
-        attains it is a term; then, in original-index order, a term is
-        dropped when the others still reach x.  Raises ArithmeticError when
-        float rounding leaves a coordinate of a member attained only outside
-        the basis.
+        Membership is the removal test on the cached generator rows; only a
+        refusal computes the projection, which ``NotMember`` carries.  Each
+        extreme ray enters as the generator ``_basis_entries`` kept for it,
+        scaled by its residual lam = min over finite g_i of x_i - g_i (+inf
+        when g has none), which keeps it below x.  Per finite coordinate of
+        x the first of these in basis order that attains it is a term; then,
+        in original-index order, a term is dropped when the others still
+        reach x.  Raises ArithmeticError when float rounding leaves a
+        coordinate of a member attained only outside the basis.
         """
-        proj = self.project(x)
-        if proj != x:
-            raise NotMember("vector is not a member of the cone", proj)
+        if x.dim != self.dim:
+            raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
+        if not self._covers(x):
+            raise NotMember("vector is not a member of the cone", self.project(x))
 
+        table = self._generator_rows()
         indices = [idx for _, idx in self._basis_entries()]
-        gens = [self._generators[idx] for idx in indices]
-        lams = left_residual(TropMatrix(gens, dim=self.dim), x)
-        rows = [tuple(lam + gi for gi in g.sort_key()) for g, lam in zip(gens, lams)]
         target = x.sort_key()
+        lams, rows = [], []
+        for idx in indices:
+            g = table[idx][1]
+            lam = math.inf
+            for xi, gi in zip(target, g):
+                if gi != -math.inf and xi - gi < lam:
+                    lam = xi - gi
+            lams.append(lam)
+            rows.append(tuple(lam + gi for gi in g))
 
         selected: list[int] = []
         for i, xi in enumerate(target):

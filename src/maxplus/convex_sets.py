@@ -172,11 +172,10 @@ class ConvexSet:
         """
         cone = self.homogenize()
         lifted_x = self.lift(x)
-        proj = cone.project(lifted_x)
-        if proj != lifted_x:
+        if not cone._covers(lifted_x):
             raise NotMember(
                 "vector is not a member of the convex set",
-                TropVector(list(proj)[: self.dim]),
+                TropVector(list(cone.project(lifted_x))[: self.dim]),
             )
         row = _row(lifted_x)
         return not _covered([r for r in cone._generator_rows() if r != row], row)

@@ -288,8 +288,10 @@ class TestBasisCache:
         assert calls
         done = len(calls)
         assert C.decompose(vec(2, 1)) == first
+        # one more call: the membership test on the cached generator rows
+        assert calls[done:] == [(C._generator_rows(), cones_module._row(vec(2, 1)))]
         assert C.extract_basis().ngens == 2
-        assert len(calls) == done
+        assert len(calls) == done + 1
 
 
 class TestContainsCone:

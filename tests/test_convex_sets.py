@@ -26,10 +26,13 @@ from util import (
     outcome,
     rand_set,
     rand_set_member,
+    reference_cone_decompose,
     reference_contains_cone,
     reference_extreme_points,
+    reference_is_extreme,
     reference_member,
     reference_recession,
+    reference_set_decompose,
     reference_sets_equal,
     same_ray,
     vec,
@@ -426,8 +429,13 @@ class TestHomogenizationCache:
         assert calls
         done = len(calls)
         assert A.extreme_points() == fig1_extreme_points()
-        assert A.decompose(vec(5, 5)).recombine(A) == vec(5, 5)
         assert len(calls) == done
+        # one call per decompose: the membership test on the cached lifted rows
+        membership = (A.homogenize()._generator_rows(), cones_module._row(vec(5, 5, 0)))
+        for _ in range(2):
+            assert A.decompose(vec(5, 5)).recombine(A) == vec(5, 5)
+            assert calls[done:] == [membership]
+            done += 1
 
 
 class TestCachedRows:
@@ -530,3 +538,54 @@ class TestConstruction:
         B = ConvexSet.from_json(A.to_json())
         assert list(B.points) == list(A.points)
         assert list(B.rays) == list(A.rays)
+
+
+class TestDecomposeOnCachedRows:
+    """Cone and set decomposition and ``is_extreme`` test membership on the
+    cached generator rows; certificates and refusals are those of the
+    ``project``/``left_residual`` path."""
+
+    def test_seeded_corpus_matches_reference(self):
+        rng = random.Random(79)
+
+        def kind(result):
+            if isinstance(result, bool):
+                return result
+            if isinstance(result, tuple):  # a refusal, as ``outcome`` reports it
+                return result[0]
+            return type(result).__name__
+
+        seen = {"cone": set(), "set": set(), "is_extreme": set()}
+        for case in range(150):
+            n = rng.randint(1, 4)
+            tenths, huge = case % 3 == 1, case % 3 == 2
+            gens = mixed_vectors(rng, n, tenths, huge)
+            rays = mixed_vectors(rng, n, tenths, huge)[: rng.randint(0, 3)]
+            C, A = Cone.from_vectors(gens), ConvexSet.from_vectors(gens, rays)
+
+            targets = list(gens[:2]) + mixed_vectors(rng, n, tenths, huge)[:2]
+            targets.append(TropVector.zero(n))
+            for top in (0, 30):  # a convex and a conic combination of the generators
+                x = TropVector.zero(n)
+                for g in gens:
+                    k = rng.randint(-30, top)
+                    lam = k * 2e306 if huge else k / 10 if tenths else k
+                    x = x.join(g.scale(MaxPlusScalar(lam)))
+                targets.append(x)
+            for t in targets:
+                for name, got, want in (
+                    ("cone", lambda: C.decompose(t), lambda: reference_cone_decompose(C, t)),
+                    ("set", lambda: A.decompose(t), lambda: reference_set_decompose(A, t)),
+                    ("is_extreme", lambda: A.is_extreme(t), lambda: reference_is_extreme(A, t)),
+                ):
+                    result = outcome(got)
+                    assert result == outcome(want)
+                    seen[name].add(kind(result))
+
+            # a wrong dimension is refused first, with the message of ``project``
+            for call in (C.project, C.decompose, A.decompose, A.is_extreme):
+                with pytest.raises(DimensionMismatch, match=f"^dim {n} vs {n + 1}$"):
+                    call(TropVector.zero(n + 1))
+        assert seen["cone"] == {"ConeDecomposition", "NotMember", "ArithmeticError"}, seen
+        assert seen["set"] == {"SetDecomposition", "NotMember", "ArithmeticError"}, seen
+        assert seen["is_extreme"] == {True, False, "NotMember"}, seen

@@ -2,7 +2,19 @@
 
 import random
 
-from maxplus import Cone, ConvexSet, MaxPlusScalar, NotMember, TropMatrix, TropVector, ZERO
+from maxplus import (
+    Cone,
+    ConeDecomposition,
+    ConvexSet,
+    MaxPlusScalar,
+    NotMember,
+    SetDecomposition,
+    TropMatrix,
+    TropVector,
+    ZERO,
+    left_residual,
+    project,
+)
 from maxplus.render import PX_PER_UNIT, _fmt
 
 NEG = float("-inf")
@@ -130,6 +142,61 @@ def reference_sets_equal(a: ConvexSet, b: ConvexSet) -> bool:
 def reference_recession(A: ConvexSet) -> Cone:
     """The basis of the cone generated by the rays alone."""
     return Cone(A.rays).extract_basis()
+
+
+def reference_cone_decompose(C: Cone, x: TropVector) -> ConeDecomposition:
+    """``Cone.decompose`` by ``project`` and ``left_residual``: refuse unless
+    the projection is x, scale each generator the basis keeps (at its
+    original index) by its left residual, take per finite coordinate the
+    first in basis order attaining it, then prune greedily in index order."""
+    proj = C.project(x)
+    if proj != x:
+        raise NotMember("vector is not a member of the cone", proj)
+    indices = [idx for _, idx in C._basis_entries()]
+    gens = [C.generators[idx] for idx in indices]
+    lams = left_residual(TropMatrix(gens, dim=C.dim), x)
+    rows = [tuple(lam + gi for gi in g.sort_key()) for g, lam in zip(gens, lams)]
+    target = x.sort_key()
+    selected = []
+    for i, xi in enumerate(target):
+        if xi == NEG:
+            continue
+        pick = next((k for k, row in enumerate(rows) if row[i] == xi), None)
+        if pick is None:
+            raise ArithmeticError(f"no basis generator attains coordinate {i} of the member")
+        if pick not in selected:
+            selected.append(pick)
+    for k in sorted(selected, key=indices.__getitem__):
+        rest = [j for j in selected if j != k]
+        if tuple(map(max, zip([NEG] * C.dim, *(rows[j] for j in rest)))) == target:
+            selected = rest
+    terms = sorted((indices[k], MaxPlusScalar(lams[k])) for k in selected)
+    return ConeDecomposition(tuple(terms), x)
+
+
+def reference_set_decompose(A: ConvexSet, x: TropVector) -> SetDecomposition:
+    """``reference_cone_decompose`` of (x, 0) in the homogenization, its
+    terms split into points and rays, a refusal's projection cut to dim."""
+    try:
+        dec = reference_cone_decompose(A.homogenize(), A.lift(x))
+    except NotMember as exc:
+        projection = TropVector(list(exc.projection)[: A.dim])
+        raise NotMember("vector is not a member of the convex set", projection) from None
+    p = A.points.ncols
+    points = tuple((k, c) for k, c in dec.terms if k < p)
+    return SetDecomposition(points, tuple((k - p, c) for k, c in dec.terms if k >= p), x)
+
+
+def reference_is_extreme(A: ConvexSet, x: TropVector) -> bool:
+    """Refuse unless ``project`` of the homogenization keeps (x, 0); then x
+    is extreme unless the other lifted generators project onto (x, 0)."""
+    cone, lifted = A.homogenize(), A.lift(x)
+    proj = cone.project(lifted)
+    if proj != lifted:
+        projection = TropVector(list(proj)[: A.dim])
+        raise NotMember("vector is not a member of the convex set", projection)
+    others = [g for g in cone.generators if g != lifted]
+    return project(TropMatrix(others, dim=A.dim + 1), lifted) != lifted
 
 
 def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
