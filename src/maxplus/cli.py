@@ -7,13 +7,13 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .cones import Cone, NotMember
 from .convex_sets import ConvexSet, sets_equal
 from .halfspaces import HalfSpace
 from .linalg import DimensionMismatch, TropVector, vectors_equal
 from .render import render_set_svg
-from .semiring import ZERO
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -132,13 +132,10 @@ def _cmd_decompose(args) -> int:
             doc = dec.to_json()
         else:
             dec = cset.decompose(x)
-            point_max = ZERO
-            for _, coeff in dec.point_terms:
-                point_max = point_max + coeff
             ok = (
                 dec.recombine(cset) == x
                 and len(dec.point_terms) + len(dec.ray_terms) <= cset.dim + 1
-                and point_max.as_float() == 0.0
+                and max((c.as_float() for _, c in dec.point_terms), default=-math.inf) == 0.0
             )
             doc = dec.to_json()
     except DimensionMismatch as exc:
@@ -268,12 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except ParseFailure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    with warnings.catch_warnings():
+        # a library warning is one stderr line, like the error lines, whatever -W says
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        except ParseFailure as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -46,47 +46,38 @@ class ConeDecomposition(Record):
         }
 
 
-def _ray_normalize(g: TropVector) -> TropVector:
-    """Shift a nonzero vector so its maximum coordinate is 0."""
-    return g.scale(MaxPlusScalar(-g.max_coord().as_float()))
+def _row(coords: tuple) -> tuple:
+    """The generator row of ``sort_key()`` coordinates: their finite (i, g_i)."""
+    return tuple((i, c) for i, c in enumerate(coords) if c != -math.inf)
 
 
-def _row(v: TropVector) -> tuple[int, tuple]:
-    """(bitmask of the finite coordinates, ``sort_key()`` floats) of a vector."""
-    coords = v.sort_key()
-    return sum(1 << i for i, c in enumerate(coords) if c != -math.inf), coords
+def _covered(rows: list, x: tuple, skip: int | None = None) -> bool:
+    """Whether the vector with ``sort_key()`` coordinates ``x`` is a max-plus
+    combination of ``rows`` (all ``_row`` values), leaving out ``rows[skip]``.
 
-
-def _covered(rows: list, row: tuple[int, tuple], skip: int | None = None) -> bool:
-    """Whether ``row`` is a max-plus combination of ``rows`` (all ``_row``
-    values), leaving out ``rows[skip]``.
-
-    Each row g enters at its greatest scale lam = min over finite g_i of
-    x_i - g_i, x being the coordinates of ``row``; x is covered when these
-    scaled rows reach it on every coordinate.  The float operations are
-    those of ``project``, so the answer equals ``project(M, x) == x`` for M
-    the rows taken.
+    Each row g enters at its greatest scale lam = min over its pairs of
+    x_i - g_i, which is -inf when g is finite where x is not; x is covered
+    when these scaled rows reach it on every coordinate.  The float
+    operations are those of ``project``, so the answer equals
+    ``project(M, x) == x`` for M the rows taken.
     """
-    support, x = row
     cover = [-math.inf] * len(x)
-    for k, (g_support, g) in enumerate(rows):
-        # g finite where x is -inf gives lam = -inf: g adds nothing
-        if k == skip or g_support & ~support:
+    for k, row in enumerate(rows):
+        if k == skip:
             continue
         lam = math.inf
-        for xi, gi in zip(x, g):
-            if gi != -math.inf and xi - gi < lam:
-                lam = xi - gi
-        # left now only by float overflow, which project clamps to the zero
-        if not -math.inf < lam < math.inf:
+        for i, gi in row:
+            if x[i] - gi < lam:
+                lam = x[i] - gi
+        # -inf: g adds nothing; +inf: float overflow, which project clamps
+        if not math.isfinite(lam):
             continue
-        for i, gi in enumerate(g):
-            if gi != -math.inf:
-                v = lam + gi
-                if v > x[i]:
-                    return False
-                if v > cover[i]:
-                    cover[i] = v
+        for i, gi in row:
+            v = lam + gi
+            if v > x[i]:
+                return False
+            if v > cover[i]:
+                cover[i] = v
     return tuple(cover) == x
 
 
@@ -134,23 +125,25 @@ class Cone:
     def member(self, x: TropVector) -> bool:
         return self.project(x) == x
 
-    def _generator_rows(self) -> list[tuple[int, tuple]]:
-        """``_row`` of each generator, built on first use."""
+    def _generator_rows(self) -> tuple[list[tuple], list[tuple]]:
+        """(``_row`` of each generator, its ``sort_key()`` coordinates),
+        built on first use; a generator is also a removal test's target."""
         if self._table is None:
-            self._table = [_row(g) for g in self._generators.columns]
+            coords = [g.sort_key() for g in self._generators.columns]
+            self._table = [_row(c) for c in coords], coords
         return self._table
 
     def _covers(self, x: TropVector) -> bool:
         """``member(x)``, for x of the cone's dimension, as the removal test
         on the generator rows."""
-        return _covered(self._generator_rows(), _row(x))
+        return _covered(self._generator_rows()[0], x.sort_key())
 
     def contains_cone(self, other: "Cone") -> bool:
         """Every generator of ``other`` is a member (the removal test)."""
         if other.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        rows = self._generator_rows()
-        return all(_covered(rows, row) for row in other._generator_rows())
+        rows = self._generator_rows()[0]
+        return all(_covered(rows, g) for g in other._generator_rows()[1])
 
     def is_extreme_generator(self, k: int) -> bool:
         """Generator k is not a max-plus combination of the other generators.
@@ -162,23 +155,28 @@ class Cone:
         """
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
-        rows = self._generator_rows()
-        return not _covered(rows, rows[k], k)
+        rows, coords = self._generator_rows()
+        return not _covered(rows, coords[k], k)
 
     def _basis_entries(self) -> tuple[tuple[TropVector, int], ...]:
         """(normalized generator, original index) per extreme ray.
 
-        Normalized representatives are deduplicated (smallest original index
-        wins), sorted lexicographically, then each is kept unless the others
-        cover it (``_covered``, the test behind ``is_extreme_generator``).
+        The cached coordinates are shifted to maximum 0 (c - top, the floats
+        of ``scale``), deduplicated (smallest original index wins) and sorted
+        (``sort_key()`` order); each is kept unless the others cover it
+        (``_covered``, the test behind ``is_extreme_generator``).
         """
         if self._basis is None:
             seen = {}
-            for idx, g in enumerate(self._generators.columns):
-                seen.setdefault(_ray_normalize(g), idx)
-            entries = sorted(seen.items(), key=lambda e: e[0].sort_key())
-            rows = [_row(norm) for norm, _ in entries]
-            self._basis = tuple(e for j, e in enumerate(entries) if not _covered(rows, rows[j], j))
+            for idx, g in enumerate(self._generator_rows()[1]):
+                top = max(g)
+                seen.setdefault(tuple(c - top for c in g), idx)
+            norms = sorted(seen)
+            rows = [_row(norm) for norm in norms]
+            self._basis = tuple(
+                (TropVector.of(*norm), seen[norm])
+                for j, norm in enumerate(norms) if not _covered(rows, norm, j)
+            )
         return self._basis
 
     def extract_basis(self) -> "Cone":
@@ -201,21 +199,20 @@ class Cone:
         """
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
-        if not self._covers(x):
+        table, coords = self._generator_rows()
+        target = x.sort_key()
+        if not _covered(table, target):
             raise NotMember("vector is not a member of the cone", self.project(x))
 
-        table = self._generator_rows()
         indices = [idx for _, idx in self._basis_entries()]
-        target = x.sort_key()
         lams, rows = [], []
         for idx in indices:
-            g = table[idx][1]
             lam = math.inf
-            for xi, gi in zip(target, g):
-                if gi != -math.inf and xi - gi < lam:
-                    lam = xi - gi
+            for i, gi in table[idx]:
+                if target[i] - gi < lam:
+                    lam = target[i] - gi
             lams.append(lam)
-            rows.append(tuple(lam + gi for gi in g))
+            rows.append(tuple(lam + gi for gi in coords[idx]))
 
         selected: list[int] = []
         for i, xi in enumerate(target):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 
-from .cones import Cone, NotMember, _covered, _row, cones_equal
+from .cones import Cone, NotMember, _covered, cones_equal
 from .linalg import DimensionMismatch, Record, TropMatrix, TropVector
 from .semiring import ONE, ZERO, MaxPlusScalar
 
@@ -177,8 +177,9 @@ class ConvexSet:
                 "vector is not a member of the convex set",
                 TropVector(list(cone.project(lifted_x))[: self.dim]),
             )
-        row = _row(lifted_x)
-        return not _covered([r for r in cone._generator_rows() if r != row], row)
+        target = lifted_x.sort_key()
+        rows, coords = cone._generator_rows()
+        return not _covered([r for r, g in zip(rows, coords) if g != target], target)
 
     def to_json(self) -> dict:
         return {"points": self._points.to_json(), "rays": self._rays.to_json()}

@@ -63,8 +63,8 @@ def _fmt(x: float) -> str:
 def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> list[str]:
     """Row-major membership sampling, merged into horizontal run rectangles:
     (x, y) is a member when the homogenization's cached generator rows cover
-    the lifted row (x, y, 0), the test of ``ConvexSet.member``."""
-    rows = A.homogenize()._generator_rows()
+    the lifted point (x, y, 0), the test of ``ConvexSet.member``."""
+    rows = A.homogenize()._generator_rows()[0]
     rects = []
     dx = (frame.x1 - frame.x0) / grid
     dy = (frame.y1 - frame.y0) / grid
@@ -75,7 +75,7 @@ def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> list[str]:
             inside = False
             if col < grid:
                 x = frame.x0 + (col + 0.5) * dx
-                inside = _covered(rows, (0b111, (x, y, 0.0)))  # all finite
+                inside = _covered(rows, (x, y, 0.0))
             if inside and run_start is None:
                 run_start = col
             elif not inside and run_start is not None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -405,6 +406,119 @@ class TestErrors:
             code, out, err = run(capsys, *argv, "--out", str(out_path))
             assert code == EXIT_PARSE
             assert "--out" in err and out == ""
+
+
+class TestWarnings:
+    """A dropped zero generator or ray is one ``warning:`` line on stderr;
+    stdout and the exit code are those of the document without it."""
+
+    CASES = [
+        ("basis", "--cone", {"generators": [[0, 1], ["-inf", "-inf"], [2, 0]]},
+         {"generators": [[0, 1], [2, 0]]}, "dropping zero-vector generators from cone"),
+        ("recession", "--set", {"points": [[0, 1]], "rays": [["-inf", "-inf"], [1, 0]]},
+         {"points": [[0, 1]], "rays": [[1, 0]]}, "dropping zero-vector rays from convex set"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, doc, clean, message", CASES)
+    def test_one_warning_line(self, capsys, tmp_path, command, flag, doc, clean, message):
+        f, g = tmp_path / "zero.json", tmp_path / "clean.json"
+        f.write_text(json.dumps(doc))
+        g.write_text(json.dumps(clean))
+        assert run(capsys, command, flag, str(f)) == (
+            EXIT_OK, run(capsys, command, flag, str(g))[1], f"warning: {message}\n"
+        )
+        # a fresh interpreter, even one told to turn warnings into errors
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "maxplus.cli", command, flag, str(f)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, f"warning: {message}\n")
+
+
+# JSON values that are not a finite number or "-inf"; nan and inf are
+# written as the NaN and Infinity tokens, which json.load reads back
+ODD = [True, False, None, "x", "", "inf", [], {}, [0], {"a": 1}, math.inf, math.nan]
+
+
+def _odd_scalar(rng):
+    return rng.choice(ODD) if rng.random() < 0.05 else rng.choice([0, 1, -2, 1.5, "-inf"])
+
+
+def _odd_vector(rng):
+    """Mostly 2 scalars, else an empty or ragged array; now and then not an array."""
+    if rng.random() < 0.04:
+        return _odd_scalar(rng)
+    n = 2 if rng.random() < 0.85 else rng.randint(0, 3)
+    return [_odd_scalar(rng) for _ in range(n)]
+
+
+def _odd_matrix(rng):
+    if rng.random() < 0.04:
+        return _odd_scalar(rng)
+    return [_odd_vector(rng) for _ in range(rng.randint(0, 3))]
+
+
+def _odd_object(rng, fields):
+    """An object over ``fields`` (name -> maker), each field kept with
+    probability 0.95, sometimes one extra field; now and then not an object."""
+    if rng.random() < 0.04:
+        return _odd_matrix(rng)
+    doc = {name: make(rng) for name, make in fields.items() if rng.random() < 0.95}
+    if rng.random() < 0.1:
+        doc[rng.choice(["dim", "extra", "-inf"])] = _odd_scalar(rng)
+    return doc
+
+
+def _odd_cone(rng):
+    return _odd_object(rng, {"generators": _odd_matrix})
+
+
+def _odd_set(rng):
+    return _odd_object(rng, {"points": _odd_matrix, "rays": _odd_matrix})
+
+
+def _odd_halfspace(rng):
+    def part(rng):
+        return _odd_object(rng, {"coeffs": _odd_vector, "const": _odd_scalar})
+
+    return _odd_object(rng, {"plus": part, "minus": part})
+
+
+class TestMalformedDocuments:
+    """Seeded malformed documents for each file-reading subcommand: no
+    exception leaves ``main`` and the exit code is 0, 1 or 2."""
+
+    COMMANDS = [
+        (["member", "--cone"], _odd_cone, True),
+        (["member", "--set"], _odd_set, True),
+        (["basis", "--cone"], _odd_cone, False),
+        (["decompose", "--cone"], _odd_cone, True),
+        (["decompose", "--set"], _odd_set, True),
+        (["extreme-points", "--set"], _odd_set, False),
+        (["recession", "--set"], _odd_set, False),
+        (["homogenize", "--set"], _odd_set, False),
+        (["minkowski-verify", "--set"], _odd_set, False),
+        (["halfspace-check", "--halfspace"], _odd_halfspace, True),
+        (["halfspace-check", "--halfspace", str(DATA / "face_halfspace.json"), "--set"],
+         _odd_set, False),
+        (["render", "--grid", "3", "--cone"], _odd_cone, False),
+        (["render", "--grid", "3", "--set"], _odd_set, False),
+    ]
+
+    @pytest.mark.parametrize("seed", range(len(COMMANDS)))
+    def test_exit_code_without_exception(self, capsys, tmp_path, seed):
+        argv, make, takes_x = self.COMMANDS[seed]
+        rng = random.Random(900 + seed)
+        f = tmp_path / "doc.json"
+        codes = set()
+        for _ in range(60):
+            f.write_text(json.dumps(make(rng)))
+            x = ["--x", json.dumps(_odd_vector(rng) if rng.random() < 0.3 else [0, 1])]
+            code, _, _ = run(capsys, *argv, str(f), *(x if takes_x else []))
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
+            codes.add(code)
+        # both kinds reached: documents refused, and documents read to the end
+        assert {EXIT_OK, EXIT_PARSE} <= codes
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

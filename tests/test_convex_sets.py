@@ -431,7 +431,7 @@ class TestHomogenizationCache:
         assert A.extreme_points() == fig1_extreme_points()
         assert len(calls) == done
         # one call per decompose: the membership test on the cached lifted rows
-        membership = (A.homogenize()._generator_rows(), cones_module._row(vec(5, 5, 0)))
+        membership = (A.homogenize()._generator_rows()[0], vec(5, 5, 0).sort_key())
         for _ in range(2):
             assert A.decompose(vec(5, 5)).recombine(A) == vec(5, 5)
             assert calls[done:] == [membership]
@@ -491,17 +491,24 @@ class TestCachedRows:
         assert all(answers == {True, False} for answers in seen.values()), seen
 
     def test_second_query_builds_no_generator_rows(self, monkeypatch):
-        calls = []
-        row = cones_module._row
-        monkeypatch.setattr(cones_module, "_row", lambda v: calls.append(v) or row(v))
+        calls, targets = [], []
+        row, covered = cones_module._row, cones_module._covered
+        monkeypatch.setattr(cones_module, "_row", lambda c: calls.append(c) or row(c))
+        monkeypatch.setattr(
+            cones_module, "_covered", lambda *args: targets.append(args) or covered(*args)
+        )
         A = fig1_set()
         B = ConvexSet.from_vectors(fig1_extreme_points(), [vec(-1, 0), vec(0, -2)])
         assert A.member(vec(5, 2)) and not A.member(vec(0, 0))
         assert sets_equal(A, B) and sets_equal(B, A)
-        assert len(calls) == 2 + 7 + 7  # the two queries, A's and B's lifted generators
-        del calls[:]
+        # A's and B's lifted generators; a query is a target, not a row
+        lifted = A.homogenize()._generator_rows()[1] + B.homogenize()._generator_rows()[1]
+        assert len(lifted) == 7 + 7 and calls == lifted
+        del calls[:], targets[:]
         assert A.member(vec(5, 2)) and not A.member(vec(0, 0))
-        assert calls == [vec(5, 2, 0), vec(0, 0, 0)]
+        assert calls == []
+        rows = A.homogenize()._generator_rows()[0]
+        assert targets == [(rows, vec(5, 2, 0).sort_key()), (rows, vec(0, 0, 0).sort_key())]
         del calls[:]
         assert sets_equal(A, B) and sets_equal(B, A)
         assert A.homogenize().contains_cone(B.homogenize())
