@@ -172,13 +172,13 @@ class ConvexSet:
         """
         cone = self.homogenize()
         lifted_x = self.lift(x)
-        if not cone._covers(lifted_x):
+        target = lifted_x.sort_key()
+        rows, coords = cone._generator_rows()
+        if not _covered(rows, target):
             raise NotMember(
                 "vector is not a member of the convex set",
                 TropVector(list(cone.project(lifted_x))[: self.dim]),
             )
-        target = lifted_x.sort_key()
-        rows, coords = cone._generator_rows()
         return not _covered([r for r, g in zip(rows, coords) if g != target], target)
 
     def to_json(self) -> dict:
