@@ -205,6 +205,9 @@ def _cmd_halfspace_check(args) -> int:
         verdict = test(arg, args.side, args.tolerance)
     except DimensionMismatch as exc:
         raise ParseFailure(f"{flag}: {exc}") from None
+    except ValueError as exc:
+        # a term too large for a float, as render refuses such a frame
+        raise ParseFailure(str(exc)) from None
     _emit({key: verdict}, args.out)
     return EXIT_OK
 

@@ -7,13 +7,19 @@ from .linalg import DimensionMismatch, Record, TropVector
 from .semiring import MaxPlusScalar, ZERO
 
 
+_OVERFLOW = "the half-space form overflows a float"
+
+
 def eval_form(coeffs: TropVector, x: TropVector) -> MaxPlusScalar:
-    """Max-plus linear form: max_i (coeffs_i + x_i)."""
+    """Max-plus linear form: max_i (coeffs_i + x_i); ValueError if a term overflows a float."""
     if coeffs.dim != x.dim:
         raise DimensionMismatch(f"dim {coeffs.dim} vs {x.dim}")
     out = ZERO
-    for a, v in zip(coeffs, x):
-        out = out + a * v
+    try:
+        for a, v in zip(coeffs, x):
+            out = out + a * v
+    except ValueError:
+        raise ValueError(_OVERFLOW) from None
     return out
 
 
@@ -51,7 +57,10 @@ class HalfSpace(Record):
             lhs, rhs = rhs, lhs
         if tolerance:
             # relax the side that must be the larger; a -inf stays -inf
-            lhs = lhs * MaxPlusScalar(tolerance)
+            try:
+                lhs = lhs * MaxPlusScalar(tolerance)
+            except ValueError:
+                raise ValueError(_OVERFLOW) from None
         return lhs >= rhs
 
     def contains_ray(self, r: TropVector, side: str) -> bool:

@@ -202,6 +202,26 @@ class TestHalfspaceCheck:
         assert code == EXIT_PARSE
         assert err == "error: --set: dim 2 vs 3\n" and out == ""
 
+    @pytest.mark.parametrize("target", [
+        ["--x", "[1e308,0]"],
+        ["--x", "[1e308,0]", "--side", "minus"],
+        ["--x", "[1,0]", "--tolerance", "1.7e308"],
+        ["--set", {"points": [[0, 0], [1e308, 0]]}],
+        ["--set", {"points": [[0, 0]], "rays": [[1e308, 0]]}],
+    ])
+    def test_overflowing_form_exits_1(self, capsys, tmp_path, target):
+        hs = tmp_path / "hs.json"
+        hs.write_text(json.dumps(
+            {"plus": {"coeffs": [1e308, 0], "const": 0},
+             "minus": {"coeffs": [0, 0], "const": "-inf"}}
+        ))
+        if target[0] == "--set":
+            (tmp_path / "set.json").write_text(json.dumps(target[1]))
+            target = ["--set", str(tmp_path / "set.json")]
+        code, out, err = run(capsys, "halfspace-check", "--halfspace", str(hs), *target)
+        assert code == EXIT_PARSE
+        assert err == "error: the half-space form overflows a float\n" and out == ""
+
 
 class TestRender:
     def test_valid_svg(self, capsys, tmp_path):
@@ -484,41 +504,91 @@ def _odd_halfspace(rng):
     return _odd_object(rng, {"plus": part, "minus": part})
 
 
+ODD_DOCUMENTS = {"cone": _odd_cone, "set": _odd_set, "halfspace": _odd_halfspace}
+
+
+def _huge_scalar(rng):
+    """-inf, or a multiple of 3.4e306 up to 1.7e308 in size."""
+    return "-inf" if rng.random() < 0.2 else rng.randint(-50, 50) * 3.4e306
+
+
+def _huge_vector(rng):
+    return [_huge_scalar(rng) for _ in range(2)]
+
+
+def _huge_matrix(rng, least):
+    return [_huge_vector(rng) for _ in range(rng.randint(least, 4))]
+
+
+def _huge_halfspace(rng):
+    return {side: {"coeffs": _huge_vector(rng), "const": _huge_scalar(rng)}
+            for side in ("plus", "minus")}
+
+
+HUGE_DOCUMENTS = {
+    "cone": lambda rng: {"generators": _huge_matrix(rng, 1)},
+    "set": lambda rng: {"points": _huge_matrix(rng, 1), "rays": _huge_matrix(rng, 0)},
+    "halfspace": _huge_halfspace,
+}
+
+# the 13 file-reading command forms: argv before the file, the kind of
+# document the file holds, and whether the form takes --x
+COMMANDS = [
+    (["member", "--cone"], "cone", True),
+    (["member", "--set"], "set", True),
+    (["basis", "--cone"], "cone", False),
+    (["decompose", "--cone"], "cone", True),
+    (["decompose", "--set"], "set", True),
+    (["extreme-points", "--set"], "set", False),
+    (["recession", "--set"], "set", False),
+    (["homogenize", "--set"], "set", False),
+    (["minkowski-verify", "--set"], "set", False),
+    (["halfspace-check", "--halfspace"], "halfspace", True),
+    (["halfspace-check", "--halfspace", str(DATA / "face_halfspace.json"), "--set"], "set", False),
+    (["render", "--grid", "3", "--cone"], "cone", False),
+    (["render", "--grid", "3", "--set"], "set", False),
+]
+
+
 class TestMalformedDocuments:
     """Seeded malformed documents for each file-reading subcommand: no
     exception leaves ``main`` and the exit code is 0, 1 or 2."""
 
-    COMMANDS = [
-        (["member", "--cone"], _odd_cone, True),
-        (["member", "--set"], _odd_set, True),
-        (["basis", "--cone"], _odd_cone, False),
-        (["decompose", "--cone"], _odd_cone, True),
-        (["decompose", "--set"], _odd_set, True),
-        (["extreme-points", "--set"], _odd_set, False),
-        (["recession", "--set"], _odd_set, False),
-        (["homogenize", "--set"], _odd_set, False),
-        (["minkowski-verify", "--set"], _odd_set, False),
-        (["halfspace-check", "--halfspace"], _odd_halfspace, True),
-        (["halfspace-check", "--halfspace", str(DATA / "face_halfspace.json"), "--set"],
-         _odd_set, False),
-        (["render", "--grid", "3", "--cone"], _odd_cone, False),
-        (["render", "--grid", "3", "--set"], _odd_set, False),
-    ]
-
     @pytest.mark.parametrize("seed", range(len(COMMANDS)))
     def test_exit_code_without_exception(self, capsys, tmp_path, seed):
-        argv, make, takes_x = self.COMMANDS[seed]
+        argv, kind, takes_x = COMMANDS[seed]
         rng = random.Random(900 + seed)
         f = tmp_path / "doc.json"
         codes = set()
         for _ in range(60):
-            f.write_text(json.dumps(make(rng)))
+            f.write_text(json.dumps(ODD_DOCUMENTS[kind](rng)))
             x = ["--x", json.dumps(_odd_vector(rng) if rng.random() < 0.3 else [0, 1])]
             code, _, _ = run(capsys, *argv, str(f), *(x if takes_x else []))
             assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
             codes.add(code)
         # both kinds reached: documents refused, and documents read to the end
         assert {EXIT_OK, EXIT_PARSE} <= codes
+
+
+class TestNearOverflowDocuments:
+    """Seeded well-formed 2-dim documents and --x vectors whose finite
+    entries reach +-1.7e308, with -inf entries, for each file-reading
+    subcommand: no exception leaves ``main`` and the exit code is one of
+    the four the CLI defines."""
+
+    @pytest.mark.parametrize("seed", range(len(COMMANDS)))
+    def test_exit_code_without_exception(self, capsys, tmp_path, seed):
+        argv, kind, takes_x = COMMANDS[seed]
+        rng = random.Random(950 + seed)
+        f = tmp_path / "doc.json"
+        codes = set()
+        for _ in range(60):
+            f.write_text(json.dumps(HUGE_DOCUMENTS[kind](rng)))
+            x = ["--x", json.dumps(_huge_vector(rng))]
+            code, _, _ = run(capsys, *argv, str(f), *(x if takes_x else []))
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SELF_CHECK)
+            codes.add(code)
+        assert EXIT_OK in codes, codes
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

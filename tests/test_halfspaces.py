@@ -109,6 +109,29 @@ class TestContains:
         assert hits > 100
 
 
+class TestOverflow:
+    """A term coeffs_i + x_i beyond the float range is refused with one
+    message, whichever method meets it."""
+
+    H = HalfSpace(vec(1e308, 0), MaxPlusScalar(0), vec(0, 0), ZERO)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_contains(self, side):
+        with pytest.raises(ValueError, match="^the half-space form overflows a float$"):
+            self.H.contains(vec(1e308, 0), side)
+
+    def test_contains_set(self):
+        for A in (ConvexSet.from_vectors([vec(0, 0), vec(1e308, 0)]),
+                  ConvexSet.from_vectors([vec(0, 0)], [vec(1e308, 0)])):
+            with pytest.raises(ValueError, match="^the half-space form overflows a float$"):
+                self.H.contains_set(A, "plus")
+
+    def test_tolerance(self):
+        assert self.H.contains(vec(1, 0), "plus", 1.0)
+        with pytest.raises(ValueError, match="^the half-space form overflows a float$"):
+            self.H.contains(vec(1, 0), "plus", 1.7e308)
+
+
 class TestContainsSet:
     def test_unknown_side_rejected(self):
         H = HalfSpace(vec(0, "-inf"), ZERO, vec("-inf", 0), ZERO)

@@ -14,8 +14,8 @@ from maxplus import (
     project,
 )
 
-from oracles import combine_oracle, cone_member_oracle
-from util import floats, rand_cone, rand_vector, vec
+import oracle
+from util import exact, exact_all, rand_cone, rand_vector, vec
 
 
 def mat(*cols):
@@ -50,10 +50,8 @@ class TestCombine:
                 for _ in range(C.ngens)
             ]
             got = combine(C.generators, lams)
-            expect = combine_oracle(
-                [floats(g) for g in C.generators], [l.as_float() for l in lams]
-            )
-            assert floats(got) == expect
+            terms = [(k, oracle.exact(lam.to_json())) for k, lam in enumerate(lams)]
+            assert exact(got) == oracle.combine(exact_all(C.generators), terms, n)
 
 
 class TestLeftResidual:
@@ -112,7 +110,7 @@ class TestProjectionProperties:
             C = rand_cone(rng, n)
             x = rand_vector(rng, n, nonzero=False)
             fixed = project(C.generators, x) == x
-            assert fixed == cone_member_oracle([floats(g) for g in C.generators], floats(x))
+            assert fixed == oracle.cone_member(exact_all(C.generators), exact(x))
 
 
 class TestVector:

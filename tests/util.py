@@ -1,7 +1,9 @@
 """Random instance generators and conversions shared across the test suite."""
 
 import random
+from fractions import Fraction
 
+import oracle
 from maxplus import (
     Cone,
     ConeDecomposition,
@@ -19,9 +21,25 @@ from maxplus.render import PX_PER_UNIT, _fmt
 
 NEG = float("-inf")
 
+# the reason of every strict xfail that the exact oracle raises today
+ROADMAP_ITEM_4 = (
+    "ROADMAP item 4: the library computes in binary floats, so one-decimal and "
+    "near-overflow answers are not exact"
+)
+
 
 def floats(v) -> list:
     return [c.as_float() for c in v]
+
+
+def exact(v) -> tuple:
+    """A library vector as the exact oracle reads it: a float is its exact
+    binary value, -inf is ``oracle.NEG``."""
+    return oracle.vec(v.to_json())
+
+
+def exact_all(vectors) -> list:
+    return [exact(v) for v in vectors]
 
 
 def vec(*values) -> TropVector:
@@ -55,34 +73,58 @@ def rand_cone_member(rng: random.Random, C: Cone) -> TropVector:
     return out
 
 
-def mixed_vectors(rng: random.Random, n: int, tenths: bool, huge: bool = False) -> list:
+def corpus_value(k: int, tenths: bool, huge: bool = False) -> tuple:
+    """The number k of a seeded corpus as ``(float, exact)``: k itself,
+    k/10 (exactly Fraction(k, 10)) when ``tenths``, or k * 2e306 (exactly
+    that float's value) when ``huge``."""
+    if huge:
+        return k * 2e306, oracle.exact(k * 2e306)
+    if tenths:
+        return k / 10, oracle.exact(Fraction(k, 10))
+    return k, k
+
+
+def combination(pairs: list, coeffs: list, n: int) -> tuple:
+    """The max-plus combination of ``(vector, exact)`` pairs with
+    ``(float, exact)`` coefficients, in floats by the library and exactly
+    by the oracle, as one ``(vector, exact)`` pair."""
+    v = TropVector.zero(n)
+    for (g, _), (lam, _) in zip(pairs, coeffs):
+        v = v.join(g.scale(MaxPlusScalar(lam)))
+    terms = [(k, lam) for k, (_, lam) in enumerate(coeffs)]
+    return v, oracle.combine([e for _, e in pairs], terms, n)
+
+
+def mixed_pairs(rng: random.Random, n: int, tenths: bool, huge: bool = False) -> list:
     """Nonzero vectors with scaled duplicates, max-plus combinations and
-    -inf entries; one-decimal values when ``tenths``, and multiples of 2e306
-    when ``huge`` (coordinates up to 1e308 in size, so x_i - g_i can
-    overflow while every scaled copy and combination stays finite)."""
+    -inf entries, as ``(vector, exact)`` pairs; one-decimal values when
+    ``tenths``, and multiples of 2e306 when ``huge`` (coordinates up to
+    1.6e308 in size, so x_i - g_i can overflow while every scaled copy and
+    combination stays finite).  The exact value is computed from the
+    generating numbers, never read back from the float vector."""
 
     def num(lo, hi):
-        k = rng.randint(lo, hi)
-        if huge:
-            return k * 2e306
-        return k / 10 if tenths else k
+        return corpus_value(rng.randint(lo, hi), tenths, huge)
 
     def ray():
-        coords = [NEG if rng.random() < 0.2 else num(-50, 50) for _ in range(n)]
+        coords = [(NEG, oracle.NEG) if rng.random() < 0.2 else num(-50, 50) for _ in range(n)]
         coords[rng.randrange(n)] = num(-50, 50)
-        return TropVector.of(*coords)
+        return TropVector.of(*(f for f, _ in coords)), tuple(e for _, e in coords)
 
     base = [ray() for _ in range(rng.randint(1, 6))]
     gens = list(base)
     for _ in range(rng.randint(0, 3)):
-        gens.append(rng.choice(base).scale(MaxPlusScalar(num(-30, 30))))
+        gens.append(combination([rng.choice(base)], [num(-30, 30)], n))
     for _ in range(rng.randint(0, 3)):
-        out = TropVector.zero(n)
-        for g in rng.sample(base, min(len(base), 2)):
-            out = out.join(g.scale(MaxPlusScalar(num(-30, 30))))
-        gens.append(out)
+        picked = rng.sample(base, min(len(base), 2))
+        gens.append(combination(picked, [num(-30, 30) for _ in picked], n))
     rng.shuffle(gens)
     return gens
+
+
+def mixed_vectors(rng: random.Random, n: int, tenths: bool, huge: bool = False) -> list:
+    """The vectors of ``mixed_pairs``."""
+    return [v for v, _ in mixed_pairs(rng, n, tenths, huge)]
 
 
 def rand_set(rng: random.Random, n: int, max_points=6, max_rays=3, with_rays=True) -> ConvexSet:
