@@ -48,27 +48,27 @@ class HalfSpace(Record):
         return self.plus_coeffs.dim
 
     def contains(self, x: TropVector, side: str, tolerance: float = 0.0) -> bool:
-        if x.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
+        return self._holds(x, self.plus_const, self.minus_const, side, tolerance)
+
+    def contains_ray(self, r: TropVector, side: str, tolerance: float = 0.0) -> bool:
+        """Homogeneous inequality for a recession direction (constants drop)."""
+        return self._holds(r, ZERO, ZERO, side, tolerance)
+
+    def _holds(self, x: TropVector, plus_const: MaxPlusScalar, minus_const: MaxPlusScalar,
+               side: str, tolerance: float) -> bool:
+        """The chosen side's inequality at x, its larger side raised by tolerance
+        (a -inf stays -inf)."""
         _check_side(side)
-        lhs = eval_form(self.plus_coeffs, x) + self.plus_const
-        rhs = eval_form(self.minus_coeffs, x) + self.minus_const
+        lhs = eval_form(self.plus_coeffs, x) + plus_const
+        rhs = eval_form(self.minus_coeffs, x) + minus_const
         if side == "minus":
             lhs, rhs = rhs, lhs
         if tolerance:
-            # relax the side that must be the larger; a -inf stays -inf
             try:
                 lhs = lhs * MaxPlusScalar(tolerance)
             except ValueError:
                 raise ValueError(_OVERFLOW) from None
         return lhs >= rhs
-
-    def contains_ray(self, r: TropVector, side: str) -> bool:
-        """Homogeneous inequality for a recession direction (constants drop)."""
-        _check_side(side)
-        lhs = eval_form(self.plus_coeffs, r)
-        rhs = eval_form(self.minus_coeffs, r)
-        return lhs >= rhs if side == "plus" else rhs >= lhs
 
     def contains_set(self, A: ConvexSet, side: str, tolerance: float = 0.0) -> bool:
         """Whether the whole V-represented set lies in the chosen side.
@@ -76,13 +76,15 @@ class HalfSpace(Record):
         Checking the points against the affine inequality and the rays against
         the homogeneous one is exact: a max-plus combination of satisfying
         generators satisfies the same inequality (the convex-combination
-        constraint lets the constant absorb into the point coefficients).
+        constraint lets the constant absorb into the point coefficients).  A
+        tolerance t relaxes the half-space itself, so the rays are relaxed by
+        t too: on the plus side, plus(r) + t >= minus(r).
         """
         if A.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {A.dim}")
         if not all(self.contains(p, side, tolerance) for p in A.points):
             return False
-        return all(self.contains_ray(r, side) for r in A.rays)
+        return all(self.contains_ray(r, side, tolerance) for r in A.rays)
 
     def to_json(self) -> dict:
         return {

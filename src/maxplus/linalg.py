@@ -116,7 +116,7 @@ class TropVector:
         return tuple(c.as_float() for c in self._coords)
 
     def __repr__(self) -> str:
-        inner = ", ".join("-inf" if c.is_zero else f"{c.as_float():g}" for c in self._coords)
+        inner = ", ".join(f"{c.as_float():g}" for c in self._coords)
         return f"TropVector({inner})"
 
     def to_json(self) -> list:

@@ -4,53 +4,45 @@ from __future__ import annotations
 
 import math
 
+_NEG_INF = -math.inf
+
 
 class MaxPlusScalar:
     """An element of R u {-inf} with addition max and multiplication +.
 
-    The additive zero (-inf) is a tagged state rather than an IEEE float
-    sentinel: zero * x must stay zero, and -inf + inf would decay to NaN.
-    Instances are immutable and hashable.
+    The value is a float and the additive zero is -inf.  +inf and NaN are
+    refused at construction, so max and + never meet -inf + inf and never
+    make NaN.  Instances are immutable and hashable.
     """
 
     __slots__ = ("_value",)
 
-    def __init__(self, value: int | float | None = None):
-        if value is None:
-            self._value: float | None = None
-            return
+    def __init__(self, value: int | float = _NEG_INF):
         try:
             v = float(value)
-        except OverflowError:
-            raise ValueError("max-plus scalar is too large for a float") from None
-        if v == -math.inf:
-            self._value = None
-        elif math.isfinite(v):
-            self._value = v
-        else:
+        except OverflowError as exc:
+            raise ValueError("max-plus scalar is too large for a float") from exc
+        if not v < math.inf:  # +inf or NaN
             raise ValueError(f"max-plus scalar must be finite or -inf, got {value!r}")
+        self._value = v
 
     @property
     def is_zero(self) -> bool:
-        return self._value is None
+        return self._value == _NEG_INF
 
     def as_float(self) -> float:
         """Finite value, or -inf for the semiring zero."""
-        return -math.inf if self._value is None else self._value
+        return self._value
 
     def __add__(self, other: "MaxPlusScalar") -> "MaxPlusScalar":
         # semiring addition: max
-        if self._value is None:
-            return other
-        if other._value is None or self._value >= other._value:
-            return self
-        return other
+        return self if self._value >= other._value else other
 
     def __mul__(self, other: "MaxPlusScalar") -> "MaxPlusScalar":
-        # semiring multiplication: +; zero is absorbing
-        if self._value is None or other._value is None:
-            return ZERO
-        return MaxPlusScalar(self._value + other._value)
+        # semiring multiplication: +; zero is absorbing, and so is a sum
+        # that overflows to -inf
+        v = self._value + other._value
+        return ZERO if v == _NEG_INF else MaxPlusScalar(v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaxPlusScalar):
@@ -61,27 +53,23 @@ class MaxPlusScalar:
         return hash(self._value)
 
     def __le__(self, other: "MaxPlusScalar") -> bool:
-        if self._value is None:
-            return True
-        if other._value is None:
-            return False
         return self._value <= other._value
 
     def __lt__(self, other: "MaxPlusScalar") -> bool:
-        return self <= other and self != other
+        return self._value < other._value
 
     def __ge__(self, other: "MaxPlusScalar") -> bool:
-        return other <= self
+        return self._value >= other._value
 
     def __gt__(self, other: "MaxPlusScalar") -> bool:
-        return other < self
+        return self._value > other._value
 
     def __repr__(self) -> str:
-        return "MaxPlusScalar(-inf)" if self._value is None else f"MaxPlusScalar({self._value:g})"
+        return f"MaxPlusScalar({self._value:g})"
 
     def to_json(self):
         """JSON encoding: finite values as numbers, the zero as "-inf"."""
-        if self._value is None:
+        if self.is_zero:
             return "-inf"
         if self._value.is_integer():
             return int(self._value)
@@ -106,11 +94,7 @@ def residual(b: MaxPlusScalar, a: MaxPlusScalar) -> float:
     +inf, the top of the residuated order, when a is the zero; it has no
     MaxPlusScalar counterpart.  -inf when only b is the zero.
     """
-    if a.is_zero:
-        return math.inf
-    if b.is_zero:
-        return -math.inf
-    return b.as_float() - a.as_float()
+    return math.inf if a._value == _NEG_INF else b._value - a._value
 
 
 def scalars_equal(a: MaxPlusScalar, b: MaxPlusScalar, tolerance: float = 0.0) -> bool:
@@ -118,8 +102,6 @@ def scalars_equal(a: MaxPlusScalar, b: MaxPlusScalar, tolerance: float = 0.0) ->
 
     -inf only ever equals -inf, regardless of tolerance.
     """
-    if tolerance == 0.0:
+    if tolerance == 0.0 or a.is_zero or b.is_zero:
         return a == b
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    return abs(a.as_float() - b.as_float()) <= tolerance
+    return abs(a._value - b._value) <= tolerance

@@ -202,6 +202,20 @@ class TestHalfspaceCheck:
         assert code == EXIT_PARSE
         assert err == "error: --set: dim 2 vs 3\n" and out == ""
 
+    @pytest.mark.parametrize("tolerance, expected", [("0", False), ("0.4", False), ("1", True)])
+    def test_tolerance_relaxes_rays(self, capsys, tmp_path, tolerance, expected):
+        # x1 >= x2 fails on the ray (0, 0.5) by 0.5, so a tolerance of 1 covers it
+        hs = tmp_path / "hs.json"
+        hs.write_text(json.dumps(
+            {"plus": {"coeffs": [0, "-inf"], "const": "-inf"},
+             "minus": {"coeffs": ["-inf", 0], "const": "-inf"}}
+        ))
+        A = tmp_path / "set.json"
+        A.write_text(json.dumps({"points": [[0, 0]], "rays": [[0, 0.5]]}))
+        doc = run_json(capsys, "halfspace-check", "--halfspace", str(hs), "--set", str(A),
+                       "--tolerance", tolerance)
+        assert doc == {"contains_set": expected}
+
     @pytest.mark.parametrize("target", [
         ["--x", "[1e308,0]"],
         ["--x", "[1e308,0]", "--side", "minus"],

@@ -158,7 +158,21 @@ class TestContainsSet:
         H = HalfSpace(vec(0, 0), ZERO, TropVector.zero(2), MaxPlusScalar(0))
         assert H.contains_set(fig1_set(), "plus")
 
+    def test_tolerance_relaxes_rays(self):
+        # x1 >= x2 fails along the ray (0, 0.5) by 0.5, and only there
+        H = HalfSpace(vec(0, "-inf"), ZERO, vec("-inf", 0), ZERO)
+        A = ConvexSet.from_vectors([vec(0, 0)], [vec(0, 0.5)])
+        assert not H.contains_ray(vec(0, 0.5), "plus", 0.4)
+        assert H.contains_ray(vec(0, 0.5), "plus", 0.5)
+        assert not H.contains_set(A, "plus", 0.4)
+        assert H.contains_set(A, "plus", 1)
+        assert H.contains_set(ConvexSet.from_vectors([vec(0, 0)], [vec(0.5, 0)]), "minus", 1)
+
     def test_exactness_by_sampling(self):
+        # sound: a True answer holds at sampled members; complete: a False
+        # answer has a violating member, a failing point or a point far out
+        # along a failing ray
+        far = MaxPlusScalar(10**6)
         rng = random.Random(43)
         for _ in range(100):
             n = rng.randint(1, 3)
@@ -169,10 +183,14 @@ class TestContainsSet:
                 vec(*[rng.randint(-3, 3) for _ in range(n)]),
                 MaxPlusScalar(rng.randint(-3, 3)),
             )
+            witnesses = [*A.points, *(A.points[0].join(r.scale(far)) for r in A.rays)]
             for side in ("plus", "minus"):
-                if H.contains_set(A, side):
-                    for _ in range(10):
-                        assert H.contains(rand_set_member(rng, A), side)
+                for tolerance in (0, 0.5, 1):
+                    if H.contains_set(A, side, tolerance):
+                        for _ in range(10):
+                            assert H.contains(rand_set_member(rng, A), side, tolerance)
+                    else:
+                        assert not all(H.contains(x, side, tolerance) for x in witnesses)
 
 
 class TestFaceCounterexample:

@@ -63,11 +63,30 @@ class TestConstruction:
     def test_neg_inf_float_is_zero(self):
         assert MaxPlusScalar(float("-inf")) == ZERO
 
+    def test_zero_has_one_encoding(self):
+        zeros = [
+            MaxPlusScalar(), MaxPlusScalar(float("-inf")), MaxPlusScalar("-inf"),
+            MaxPlusScalar.from_json("-inf"), ZERO * s(7), s(-1e308) * s(-1e308),
+        ]
+        for z in zeros:
+            assert z == ZERO and hash(z) == hash(ZERO)
+            assert z.as_float() == -math.inf
+            assert TropVector([z]).sort_key() == (-math.inf,)
+
     def test_rejects_pos_inf_and_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max-plus scalar must be finite or -inf, got inf$"):
             MaxPlusScalar(float("inf"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max-plus scalar must be finite or -inf, got nan$"):
             MaxPlusScalar(float("nan"))
+        with pytest.raises(ValueError, match="^max-plus scalar is too large for a float$"):
+            MaxPlusScalar(10**400)
+        with pytest.raises(ValueError, match="^max-plus scalar must be finite or -inf, got inf$"):
+            s(1e308) * s(1e308)
+
+    def test_none_is_not_a_scalar(self):
+        # the zero is -inf (or no argument); None has no meaning here
+        with pytest.raises(TypeError):
+            MaxPlusScalar(None)
 
 
 class TestOrder:
