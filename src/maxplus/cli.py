@@ -14,6 +14,7 @@ from .convex_sets import ConvexSet, sets_equal
 from .halfspaces import HalfSpace
 from .linalg import DimensionMismatch, TropVector, vectors_equal
 from .render import render_set_svg
+from .semiring import _check_tolerance
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -34,13 +35,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """--tolerance: finite and >= 0 (float() also reads nan and inf)."""
+    """--tolerance under the library's tolerance rule (float() also reads nan and inf)."""
     try:
         value = float(text)
+        _check_tolerance(value)
     except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
     return value
 
 
@@ -267,13 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main reuses, built by its first call: a parse builds a fresh
+# Namespace and every default in _FLAGS is immutable, so no call sees another's
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     with warnings.catch_warnings():
         # a library warning is one stderr line, like the error lines, whatever -W says
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
         try:
-            args = build_parser().parse_args(argv)
+            if _parser is None:
+                _parser = build_parser()
+            args = _parser.parse_args(argv)
             return args.fn(args)
         except ParseFailure as exc:
             sys.stderr.write(f"error: {exc}\n")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .convex_sets import ConvexSet
 from .linalg import DimensionMismatch, Record, TropVector
-from .semiring import MaxPlusScalar, ZERO
+from .semiring import MaxPlusScalar, ZERO, _check_tolerance
 
 
 _OVERFLOW = "the half-space form overflows a float"
@@ -57,13 +57,15 @@ class HalfSpace(Record):
     def _holds(self, x: TropVector, plus_const: MaxPlusScalar, minus_const: MaxPlusScalar,
                side: str, tolerance: float) -> bool:
         """The chosen side's inequality at x, its larger side raised by tolerance
-        (a -inf stays -inf)."""
+        (a -inf stays -inf); ValueError when the tolerance is negative, NaN or
+        infinite."""
         _check_side(side)
         lhs = eval_form(self.plus_coeffs, x) + plus_const
         rhs = eval_form(self.minus_coeffs, x) + minus_const
         if side == "minus":
             lhs, rhs = rhs, lhs
         if tolerance:
+            _check_tolerance(tolerance)
             try:
                 lhs = lhs * MaxPlusScalar(tolerance)
             except ValueError:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .semiring import ZERO, MaxPlusScalar, residual, scalars_equal
+from .semiring import ZERO, MaxPlusScalar, _check_tolerance, residual, scalars_equal
 
 
 class DimensionMismatch(ValueError):
@@ -130,9 +130,11 @@ class TropVector:
 
 
 def vectors_equal(u: TropVector, v: TropVector, tolerance: float = 0.0) -> bool:
-    if u.dim != v.dim:
-        return False
-    return all(scalars_equal(a, b, tolerance) for a, b in zip(u, v))
+    """Coordinate-wise scalars_equal; False when the dimensions differ."""
+    if tolerance == 0.0:
+        return u == v
+    _check_tolerance(tolerance)
+    return u.dim == v.dim and all(scalars_equal(a, b, tolerance) for a, b in zip(u, v))
 
 
 class TropMatrix:

@@ -97,11 +97,21 @@ def residual(b: MaxPlusScalar, a: MaxPlusScalar) -> float:
     return math.inf if a._value == _NEG_INF else b._value - a._value
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """A tolerance is a finite number >= 0, as the CLI's --tolerance."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+
+
 def scalars_equal(a: MaxPlusScalar, b: MaxPlusScalar, tolerance: float = 0.0) -> bool:
     """Equality with optional absolute tolerance on finite values.
 
-    -inf only ever equals -inf, regardless of tolerance.
+    -inf only ever equals -inf, regardless of tolerance.  ValueError when
+    the tolerance is negative, NaN or infinite.
     """
-    if tolerance == 0.0 or a.is_zero or b.is_zero:
+    if tolerance == 0.0:
+        return a == b
+    _check_tolerance(tolerance)
+    if a.is_zero or b.is_zero:
         return a == b
     return abs(a._value - b._value) <= tolerance

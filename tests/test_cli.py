@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from maxplus import ConvexSet, TropMatrix, render
+from maxplus import ConvexSet, TropMatrix, cli, render
 from maxplus.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SELF_CHECK, main
 
 from util import mixed_vectors, reference_shading_rects
@@ -19,6 +19,8 @@ from util import mixed_vectors, reference_shading_rects
 DATA = pathlib.Path(__file__).parent / "data"
 FIG1 = str(DATA / "fig1.json")
 REC = str(DATA / "rec.json")
+HALFSPACE = str(DATA / "face_halfspace.json")
+SETS = [str(DATA / name) for name in ("fig1.json", "face_set.json", "face_face.json")]
 SRC = str(pathlib.Path(__file__).parent.parent / "src")
 
 
@@ -661,3 +663,91 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", str(EXIT_OK)]
         ET.parse(svg)
+
+
+class TestParserReuse:
+    """main builds its parser on its first call and reuses it: one call
+    leaves nothing behind that changes the next one's output."""
+
+    @staticmethod
+    def calls(tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"generators": [[0, 1], ["-inf", "-inf"], [2, 0]]}))
+        calls = [
+            ["member", "--cone", REC],  # usage error: --x is missing
+            ["nope"],  # unknown subcommand
+            ["member", "--help"],
+            ["member", "--cone", REC, "--x", "[3,0.5]", "--tolerance", "0.5"],
+            ["member", "--cone", REC, "--x", "[3,0.5]"],  # the default tolerance again
+            ["member", "--cone", REC, "--x", "[2,1]", "--tolerance", "-1"],
+            ["basis", "--cone", REC, "--out", str(tmp_path / "basis.json")],
+            ["basis", "--cone", REC],  # back to stdout
+            ["basis", "--cone", str(zero)],  # one warning line
+            ["decompose", "--cone", REC, "--x", "[2,1]"],
+            ["render", "--cone", REC, "--grid", "4"],
+            ["halfspace-check", "--halfspace", HALFSPACE, "--x", "[0,-1]", "--side", "minus",
+             "--tolerance", "0.5"],
+            ["halfspace-check", "--halfspace", HALFSPACE, "--x", "[0,-1]"],
+        ]
+        for s in SETS:
+            calls += [
+                ["member", "--set", s, "--x", "[0,-1]"],
+                ["decompose", "--set", s, "--x", "[0,-1]"],
+                ["extreme-points", "--set", s],
+                ["recession", "--set", s],
+                ["homogenize", "--set", s],
+                ["minkowski-verify", "--set", s],
+                ["halfspace-check", "--halfspace", HALFSPACE, "--set", s],
+                ["render", "--set", s, "--grid", "4"],
+            ]
+        calls.append(["basis", "--cone", REC, "--out", str(tmp_path)])  # unwritable --out
+        return calls
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:  # --help
+            return exc.code, *capsys.readouterr()
+
+    def test_second_pass_repeats_the_first(self, capsys, tmp_path, monkeypatch):
+        # help text is wrapped to the terminal width; fix it for both processes
+        monkeypatch.setenv("COLUMNS", "80")
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        calls = self.calls(tmp_path)
+        first = [self.outcome(capsys, argv) for argv in calls]
+        second = [self.outcome(capsys, argv) for argv in calls]
+        assert second == first
+        assert len(built) == 1
+        assert {code for code, _, _ in first} == {EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION}
+        # a fresh process, which builds its own parser, prints the same
+        for argv, expected in zip(calls, first):
+            if {"nope", "--help", "--tolerance", "--out"} & set(argv):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "maxplus.cli", *argv], capture_output=True,
+                    text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+                )
+                assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+
+    def test_import_builds_no_parser(self):
+        script = "\n".join([
+            "import argparse, os, sys",
+            f"sys.path.insert(0, {SRC!r})",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)",
+            "import maxplus.cli",
+            "print(len(built))",
+            "for _ in range(2):",
+            f"    maxplus.cli.main(['basis', '--cone', {REC!r}, '--out', os.devnull])",
+            "    print(len(built))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported, first, second = map(int, proc.stdout.split())
+        assert imported == 0 and first == second > 0

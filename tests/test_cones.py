@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from maxplus import (
     TropVector,
     cones_equal,
     project,
+    vectors_equal,
 )
 
 import oracle
@@ -56,6 +58,23 @@ class TestMember:
             C = rand_cone(rng, n)
             x = rand_cone_member(rng, C) if rng.random() < 0.5 else rand_vector(rng, n, nonzero=False)
             assert C.member(x) == oracle.cone_member(exact_all(C.generators), exact(x))
+
+
+class TestMemberTolerance:
+    """member --tolerance compares the projection with x by vectors_equal."""
+
+    C = cone((0, 1), (2, 0))
+    REFUSED = "^tolerance must be a finite number >= 0, got "
+
+    def test_refused_unless_finite_and_nonnegative(self):
+        x = vec(3, 0.5)  # projection (2.5, 0.5)
+        answers = [vectors_equal(self.C.project(x), x, t) for t in (0, 0.4, 0.5, 1)]
+        assert answers == [False, False, True, True]
+        assert vectors_equal(self.C.project(vec(2, 1)), vec(2, 1))
+        for tolerance in (-1, math.nan, math.inf):
+            for y in (x, vec(2, 1), vec("-inf", 0)):
+                with pytest.raises(ValueError, match=self.REFUSED):
+                    vectors_equal(self.C.project(y), y, tolerance)
 
 
 class TestExtremeGenerator:

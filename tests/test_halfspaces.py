@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 
@@ -191,6 +192,28 @@ class TestContainsSet:
                             assert H.contains(rand_set_member(rng, A), side, tolerance)
                     else:
                         assert not all(H.contains(x, side, tolerance) for x in witnesses)
+
+
+class TestToleranceRule:
+    """A tolerance is a finite number >= 0, the CLI's --tolerance rule."""
+
+    H = HalfSpace(vec(0, "-inf"), ZERO, vec("-inf", 0), ZERO)  # plus side: x1 >= x2
+    REFUSED = "^tolerance must be a finite number >= 0, got "
+    CASES = [
+        ("contains", vec(0, 0.5)),
+        ("contains_ray", vec(0, 0.5)),
+        ("contains_set", ConvexSet.from_vectors([vec(0, 0)], [vec(0, 0.5)])),
+    ]
+
+    @pytest.mark.parametrize("method, arg", CASES)
+    def test_refused_unless_finite_and_nonnegative(self, method, arg):
+        check = getattr(self.H, method)
+        assert [check(arg, "plus", t) for t in (0, 0.4, 0.5, 1)] == [False, False, True, True]
+        assert all(check(arg, "minus", t) for t in (0, 0.5))
+        for tolerance in (-1, math.nan, math.inf):
+            for side in ("plus", "minus"):
+                with pytest.raises(ValueError, match=self.REFUSED):
+                    check(arg, side, tolerance)
 
 
 class TestFaceCounterexample:

@@ -166,3 +166,10 @@ class TestTolerantEquality:
         assert scalars_equal(s(1), s(1.0000001), 1e-6)
         assert not scalars_equal(ZERO, s(-1e9), 1e-6)
         assert scalars_equal(ZERO, ZERO, 1e-6)
+
+    @pytest.mark.parametrize("tolerance", [-1, -0.5, math.nan, math.inf])
+    def test_tolerance_is_finite_and_nonnegative(self, tolerance):
+        # the CLI's --tolerance rule: a negative one would make 1 unequal to 1
+        for a, b in ((s(1), s(1)), (s(1), s(2)), (ZERO, ZERO), (ZERO, s(1))):
+            with pytest.raises(ValueError, match="^tolerance must be a finite number >= 0, got "):
+                scalars_equal(a, b, tolerance)
