@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 
-from .cones import _covered
 from .convex_sets import ConvexSet
 from .linalg import TropVector
 
@@ -12,6 +12,7 @@ PX_PER_UNIT = 40.0
 PAD_UNITS = 2.0
 # coordinates at -inf live on a clipped margin band just outside the box
 BAND_UNITS = 1.0
+NEG = -math.inf
 
 
 def _finite_bbox(A: ConvexSet) -> tuple[float, float, float, float]:
@@ -61,38 +62,66 @@ def _fmt(x: float) -> str:
 
 
 def _shading_rects(A: ConvexSet, frame: _Frame, grid: int) -> list[str]:
-    """Row-major membership sampling, merged into horizontal run rectangles:
-    (x, y) is a member when the homogenization's cached generator rows cover
-    the lifted point (x, y, 0), the test of ``ConvexSet.member``."""
-    rows = A.homogenize()._generator_rows()[0]
-    rects = []
+    """One run rectangle per row: the cells whose centre is a member.
+
+    A convex set meets each line {y = c} in a closed interval, as the lifted
+    target (x, y, 0) needs a generator g attaining each coordinate.  The
+    last: a point with g_y <= y and x >= g_x (lo_3).  y: a finite g_y and
+    x >= g_x + y - g_y, for a point also y <= g_y (lo_y).  x: a finite g_x
+    and x <= g_x + y - g_y, for a point also x <= g_x (hi).  Each comparison
+    is exact: every float is read as its binary value, scaled to an int on
+    the largest denominator among them.
+    """
     dx = (frame.x1 - frame.x0) / grid
     dy = (frame.y1 - frame.y0) / grid
-    for row in range(grid):
-        y = frame.y1 - (row + 0.5) * dy
-        run_start = None
-        for col in range(grid + 1):
-            inside = False
-            if col < grid:
-                x = frame.x0 + (col + 0.5) * dx
-                inside = _covered(rows, (x, y, 0.0))
-            if inside and run_start is None:
-                run_start = col
-            elif not inside and run_start is not None:
-                x_left = frame.px(frame.x0 + run_start * dx)
-                x_right = frame.px(frame.x0 + col * dx)
-                y_top = frame.py(y + dy / 2)
-                rects.append(
-                    f'<rect x="{_fmt(x_left)}" y="{_fmt(y_top)}" '
-                    f'width="{_fmt(x_right - x_left)}" height="{_fmt(dy * PX_PER_UNIT)}" '
-                    f'fill="#c8d8f0"/>'
-                )
-                run_start = None
+    xs = [frame.x0 + (col + 0.5) * dx for col in range(grid)]
+    ys = [frame.y1 - (row + 0.5) * dy for row in range(grid)]
+    gens = [(g.sort_key(), True) for g in A.points] + [(g.sort_key(), False) for g in A.rays]
+    finite = xs + ys + [c for g, _ in gens for c in g if c != NEG]
+    scale = max(c.as_integer_ratio()[1] for c in finite)
+
+    def exact(c: float):
+        if c == NEG:
+            return c
+        num, den = c.as_integer_ratio()
+        return num * (scale // den)
+
+    gens = [(exact(gx), exact(gy), point) for (gx, gy), point in gens]
+    cells = [exact(x) for x in xs]
+    rects = []
+    for y in ys:
+        yy = exact(y)
+        lo_3 = lo_y = math.inf
+        hi = NEG
+        for gx, gy, point in gens:
+            # g_x + y - g_y, with -inf apart: an int past float range cannot add to one
+            diag = gx - gy + yy if gx != NEG and gy != NEG else (NEG if gx == NEG else math.inf)
+            if point and gy <= yy and gx < lo_3:
+                lo_3 = gx
+            if gy != NEG and (not point or yy <= gy) and diag < lo_y:
+                lo_y = diag
+            if point and gx < diag:
+                diag = gx
+            if gx != NEG and diag > hi:
+                hi = diag
+        start = bisect.bisect_left(cells, max(lo_3, lo_y))
+        end = bisect.bisect_right(cells, hi)
+        if start < end:
+            x_left = frame.px(frame.x0 + start * dx)
+            x_right = frame.px(frame.x0 + end * dx)
+            y_top = frame.py(y + dy / 2)
+            rects.append(
+                f'<rect x="{_fmt(x_left)}" y="{_fmt(y_top)}" '
+                f'width="{_fmt(x_right - x_left)}" height="{_fmt(dy * PX_PER_UNIT)}" '
+                f'fill="#c8d8f0"/>'
+            )
     return rects
 
 
 def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
     """SVG 1.1 picture of a 2D set: shaded region, rays, points, extreme points."""
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise ValueError(f"grid must be an int of at least 1, got {grid!r}")
     if A.dim != 2:
         raise ValueError(f"rendering needs a 2-dimensional set, got dim {A.dim}")
     frame = _Frame(A)

@@ -11,10 +11,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from maxplus import ConvexSet, TropMatrix, cli, render
+from maxplus import Cone, ConvexSet, TropMatrix, TropVector, cli, render
 from maxplus.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SELF_CHECK, main
 
-from util import mixed_vectors, reference_shading_rects
+from util import fig1_set, mixed_vectors, reference_shading_rects
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIG1 = str(DATA / "fig1.json")
@@ -262,32 +262,68 @@ class TestRender:
         assert code == EXIT_OK, err
         ET.fromstring(out.read_text())
 
-    # sha256 of stdout, pinned from the per-cell membership renderer
+    # sha256 of stdout; the rec.json picture was checked cell by cell against
+    # the exact oracle (test_cone_rows_are_exact_runs) before it was pinned
     @pytest.mark.parametrize("argv, digest", [
         (("--set", FIG1), "76d6b6e62e1d3bb208c85614eb5bf78d830cee23ff8682653075bed10918b61b"),
         (("--cone", REC, "--grid", "20"),
-         "f3ed90bde08f30aff4c4543439846f351be85ae82dd18243a9fba992afed4c5c"),
+         "3aeab3f3ef7264a6331c4fc093d3b03fa795928dafefbecbd287defa93c12d27"),
     ])
     def test_golden_output(self, capsys, argv, digest):
         code, out, err = run(capsys, "render", *argv)
         assert code == EXIT_OK, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_cone_rows_are_exact_runs(self, capsys):
+        """Each row of the rec.json picture at grid 20 is one gap-free run,
+        cell for cell the exact oracle's: a float test of the centre
+        (x - g) + g rounds above x and once left gaps inside rows."""
+        code, svg, err = run(capsys, "render", "--cone", REC, "--grid", "20")
+        assert code == EXIT_OK, err
+        cone = Cone.from_json(json.loads(pathlib.Path(REC).read_text()))
+        A = ConvexSet.from_vectors([TropVector.zero(2)], list(cone.generators))
+        rows = reference_shading_rects(A, render._Frame(A), 20)
+        assert all(len(row) <= 1 for row in rows) and sum(map(len, rows)) > 10
+        drawn = re.findall(r'<rect [^>]*fill="#c8d8f0"/>', svg)
+        assert drawn == sum(rows, [])
+        # distinct rows: no row of the picture is split into two runs
+        assert len({re.search(r' y="([^"]*)"', rect).group(1) for rect in drawn}) == len(drawn)
+
     def test_shading_matches_member_loop(self):
         """Mixed 2D sets: -inf coordinates, rays with a -inf entry and, for
-        half the sets, one-decimal values."""
+        half the sets, one-decimal values.  The last 60 are near overflow:
+        one axis mapped by v -> 1.7e308 + v * 2**971, which keeps max-plus
+        convexity, beside a small other axis, so the renderer's scaled ints
+        pass float range.  (Sets of the ``huge`` corpus span ~1e308 and
+        almost all overflow the frame.)  Every row draws at most one run,
+        cell for cell the exact oracle's."""
         rng = random.Random(28)
-        shaded = 0
-        for _ in range(200):
+        shaded = huge_shaded = 0
+        for k in range(260):
             vectors = mixed_vectors(rng, 2, tenths=rng.random() < 0.5)
+            if k >= 200:
+                axis = k % 2
+                vectors = [
+                    TropVector.of(*(1.7e308 + c * 2.0**971 if i == axis else c
+                                    for i, c in enumerate(v.sort_key())))
+                    for v in vectors
+                ]
             p = rng.randint(1, len(vectors))
             A = ConvexSet(TropMatrix(vectors[:p], dim=2), TropMatrix(vectors[p:], dim=2))
             frame = render._Frame(A)
-            grid = rng.randint(1, 12)
+            grid = rng.randint(1, 25)
+            rows = reference_shading_rects(A, frame, grid)
+            assert all(len(row) <= 1 for row in rows)
             rects = render._shading_rects(A, frame, grid)
-            assert rects == reference_shading_rects(A, frame, grid)
+            assert rects == sum(rows, [])
             shaded += bool(rects)
-        assert shaded > 100
+            huge_shaded += k >= 200 and bool(rects)
+        assert shaded > 150 and huge_shaded > 40
+
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, True, "4", None])
+    def test_library_refuses_grid(self, grid):
+        with pytest.raises(ValueError, match=re.escape(f"got {grid!r}")):
+            render.render_set_svg(fig1_set(), grid=grid)
 
     def test_overflowing_frame_rejected(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -308,12 +344,12 @@ class TestRender:
     def test_grid_zero_rejected(self, capsys):
         code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "0")
         assert code == EXIT_PARSE
-        assert "--grid" in err and out == ""
+        assert err == "error: --grid must be at least 1, got 0\n" and out == ""
 
     def test_negative_grid_rejected(self, capsys):
         code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "-3")
         assert code == EXIT_PARSE
-        assert "--grid" in err and out == ""
+        assert err == "error: --grid must be at least 1, got -3\n" and out == ""
 
 
 class TestTolerance:

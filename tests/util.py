@@ -242,19 +242,24 @@ def reference_is_extreme(A: ConvexSet, x: TropVector) -> bool:
 
 
 def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
-    """The render grid as one ``reference_member`` call per cell, merged into
-    horizontal run rectangles: what ``render._shading_rects`` must draw."""
-    rects = []
+    """The render grid as one exact ``oracle.set_member`` call per cell, on
+    the exact values of the set and of the float cell centre, merged into
+    horizontal run rectangles, one list per row: what
+    ``render._shading_rects`` must draw, row after row."""
+    points, rays = exact_all(A.points), exact_all(A.rays)
+    rows = []
     dx = (frame.x1 - frame.x0) / grid
     dy = (frame.y1 - frame.y0) / grid
     for row in range(grid):
         y = frame.y1 - (row + 0.5) * dy
+        rects = []
+        rows.append(rects)
         run_start = None
         for col in range(grid + 1):
             inside = False
             if col < grid:
                 x = frame.x0 + (col + 0.5) * dx
-                inside = reference_member(A, TropVector.of(x, y))
+                inside = oracle.set_member(points, rays, (oracle.exact(x), oracle.exact(y)))
             if inside and run_start is None:
                 run_start = col
             elif not inside and run_start is not None:
@@ -267,7 +272,7 @@ def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
                     f'fill="#c8d8f0"/>'
                 )
                 run_start = None
-    return rects
+    return rows
 
 
 def reference_extreme_points(A: ConvexSet) -> list:
