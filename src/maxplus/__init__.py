@@ -1,7 +1,9 @@
-"""Exact arithmetic for finitely generated max-plus (tropical) convex sets and cones.
+"""Finitely generated max-plus (tropical) convex sets and cones.
 
-Scalars live in R u {-inf} under (max, +). Cones and convex sets are stored
-by their generators (V-representation); the library computes membership via
+Scalars live in R u {-inf} under (max, +).  Values are floats: answers are
+exact on integer input of float-representable size, not yet on decimals
+(0.3 - 0.1 != 0.2 in floats).  Cones and convex sets are stored by their
+generators (V-representation); the library computes membership via
 residuated projection, extracts the unique basis of extreme rays, lists
 extreme points, and produces Minkowski-type decomposition certificates
 (at most n extreme generators for cone members, at most n+1 terms of extreme

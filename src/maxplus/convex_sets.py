@@ -146,22 +146,6 @@ class ConvexSet:
                 ray_terms.append((k - p, coeff))
         return SetDecomposition(tuple(point_terms), tuple(ray_terms), x)
 
-    def minkowski_sum(self, other: "ConvexSet") -> "ConvexSet":
-        """Max-plus Minkowski sum: pairwise joins of points, union of rays."""
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        points = []
-        for pa in self._points.columns:
-            for pb in other._points.columns:
-                j = pa.join(pb)
-                if j not in points:
-                    points.append(j)
-        rays = list(self._rays.columns)
-        for r in other._rays.columns:
-            if r not in rays:
-                rays.append(r)
-        return ConvexSet(TropMatrix(points, dim=self.dim), TropMatrix(rays, dim=self.dim))
-
     def is_extreme(self, x: TropVector) -> bool:
         """Whether a member is an extreme point of the set.
 

@@ -85,23 +85,9 @@ class TropVector:
     def scale(self, lam: MaxPlusScalar) -> "TropVector":
         return TropVector(lam * c for c in self._coords)
 
-    def support(self) -> tuple:
-        return tuple(i for i, c in enumerate(self._coords) if not c.is_zero)
-
     @property
     def is_zero_vector(self) -> bool:
         return all(c.is_zero for c in self._coords)
-
-    def max_coord(self) -> MaxPlusScalar:
-        m = ZERO
-        for c in self._coords:
-            m = m + c
-        return m
-
-    def __le__(self, other: "TropVector") -> bool:
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        return all(a <= b for a, b in zip(self._coords, other._coords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TropVector):

@@ -6,7 +6,6 @@ import bisect
 import math
 
 from .convex_sets import ConvexSet
-from .linalg import TropVector
 
 PX_PER_UNIT = 40.0
 PAD_UNITS = 2.0
@@ -15,30 +14,17 @@ BAND_UNITS = 1.0
 NEG = -math.inf
 
 
-def _finite_bbox(A: ConvexSet) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for v in list(A.points.columns) + list(A.rays.columns):
-        if not v[0].is_zero:
-            xs.append(v[0].as_float())
-        if not v[1].is_zero:
-            ys.append(v[1].as_float())
-    if not xs:
-        xs = [0.0, 1.0]
-    if not ys:
-        ys = [0.0, 1.0]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 class _Frame:
     """Affine chart -> pixel mapping with a margin band for -inf coordinates."""
 
     def __init__(self, A: ConvexSet):
-        x0, x1, y0, y1 = _finite_bbox(A)
-        self.x0 = x0 - PAD_UNITS
-        self.x1 = x1 + PAD_UNITS
-        self.y0 = y0 - PAD_UNITS
-        self.y1 = y1 + PAD_UNITS
+        coords = [v.sort_key() for v in (*A.points, *A.rays)]
+        xs = [x for x, _ in coords if x != NEG] or [0.0, 1.0]
+        ys = [y for _, y in coords if y != NEG] or [0.0, 1.0]
+        self.x0 = min(xs) - PAD_UNITS
+        self.x1 = max(xs) + PAD_UNITS
+        self.y0 = min(ys) - PAD_UNITS
+        self.y1 = max(ys) + PAD_UNITS
         self.width = (self.x1 - self.x0 + BAND_UNITS) * PX_PER_UNIT
         self.height = (self.y1 - self.y0 + BAND_UNITS) * PX_PER_UNIT
 
@@ -53,8 +39,10 @@ class _Frame:
             y = self.y0 - BAND_UNITS / 2
         return (self.y1 - y) * PX_PER_UNIT
 
-    def point_px(self, v: TropVector) -> tuple[float, float]:
-        return self.px(v[0].as_float()), self.py(v[1].as_float())
+    def point_px(self, xy: tuple[float, float]) -> tuple[float, float]:
+        """Pixel of the ``sort_key()`` coordinates of a point."""
+        x, y = xy
+        return self.px(x), self.py(y)
 
 
 def _fmt(x: float) -> str:
@@ -161,13 +149,8 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
         )
 
     # rays drawn as arrows anchored at the join of all points (a member)
-    anchor = A.points[0]
-    for p in A.points:
-        anchor = anchor.join(p)
-    ax, ay = frame.point_px(anchor)
-    for r in A.rays:
-        rx = r[0].as_float()
-        ry = r[1].as_float()
+    ax, ay = frame.point_px(tuple(map(max, zip(*(p.sort_key() for p in A.points)))))
+    for rx, ry in (r.sort_key() for r in A.rays):
         # direction of travel in the affine chart as the scale grows: the
         # all-ones shift of the finite support (not empty: no zero rays)
         dirx = 0.0 if rx == -math.inf else 1.0
@@ -185,10 +168,10 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
         )
 
     for p in A.points:
-        x, y = frame.point_px(p)
+        x, y = frame.point_px(p.sort_key())
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="#777777"/>')
     for p in A.extreme_points():
-        x, y = frame.point_px(p)
+        x, y = frame.point_px(p.sort_key())
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="none" '
             f'stroke="#cc2222" stroke-width="2"/>'

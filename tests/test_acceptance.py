@@ -203,9 +203,10 @@ def test_criterion_10_law_suite():
         M = C.generators
         x = rand_vector(rng, n, nonzero=False)
         p = project(M, x)
-        assert p <= x
+        assert p.join(x) == x
         assert project(M, p) == p
         y = x.join(rand_vector(rng, n, nonzero=False))
-        assert p <= project(M, y)
+        py = project(M, y)
+        assert p.join(py) == py
     report(10, "10000 randomized cases per law: idempotency, distributivity, "
                "Galois connection, projection properties")

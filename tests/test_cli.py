@@ -189,6 +189,11 @@ class TestHalfspaceCheck:
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "halfspace-check", "--halfspace", self.HS)
         assert code == EXIT_PARSE
+        code, out, err = run(
+            capsys, "halfspace-check", "--halfspace", self.HS, "--x", "[0,-1]", "--set", self.FACE
+        )
+        assert code == EXIT_PARSE
+        assert err == "error: give either --x or --set, not both\n" and out == ""
 
     def test_wrong_dimension_vector_names_x(self, capsys):
         code, out, err = run(

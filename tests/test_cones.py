@@ -179,7 +179,7 @@ def _decompose_corpus():
 def _reference_basis(C):
     """The removal test as a loop over public project: deduplicated,
     lex-sorted normalized generators, each kept unless the others reach it."""
-    norms = {g.scale(MaxPlusScalar(-g.max_coord().as_float())) for g in C.generators}
+    norms = {g.scale(MaxPlusScalar(-max(g.sort_key()))) for g in C.generators}
     entries = sorted(norms, key=lambda v: v.sort_key())
     kept = []
     for j, norm in enumerate(entries):

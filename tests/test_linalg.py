@@ -98,10 +98,11 @@ class TestProjectionProperties:
             M = C.generators
             x = rand_vector(rng, n, nonzero=False)
             p = project(M, x)
-            assert p <= x
+            assert p.join(x) == x
             assert project(M, p) == p
             y = x.join(rand_vector(rng, n, nonzero=False))
-            assert p <= project(M, y)
+            py = project(M, y)
+            assert p.join(py) == py
 
     def test_fixed_point_characterizes_membership(self):
         rng = random.Random(9)
@@ -114,17 +115,6 @@ class TestProjectionProperties:
 
 
 class TestVector:
-    def test_support(self):
-        assert vec("-inf", 3, 0).support() == (1, 2)
-
-    def test_pointwise_order(self):
-        assert vec(0, "-inf") <= vec(1, 2)
-        assert not vec(0, 3) <= vec(1, 2)
-
-    def test_max_coord(self):
-        assert vec(-3, 1).max_coord() == MaxPlusScalar(1)
-        assert TropVector.zero(2).max_coord() == ZERO
-
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             TropVector([])

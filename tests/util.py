@@ -301,5 +301,5 @@ def fig1_extreme_points():
 
 def same_ray(u: TropVector, v: TropVector) -> bool:
     """Whether two nonzero vectors generate the same max-plus ray."""
-    mu, mv = u.max_coord(), v.max_coord()
-    return u.scale(MaxPlusScalar(-mu.as_float())) == v.scale(MaxPlusScalar(-mv.as_float()))
+    mu, mv = max(u.sort_key()), max(v.sort_key())
+    return u.scale(MaxPlusScalar(-mu)) == v.scale(MaxPlusScalar(-mv))
