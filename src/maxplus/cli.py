@@ -243,8 +243,8 @@ _FLAGS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="maxplus",
-        description="Exact max-plus (tropical) convexity: membership, bases, "
-        "extreme points and Minkowski-type decompositions over JSON files.",
+        description="Max-plus (tropical) convexity, exact on integer input: membership, "
+        "bases, extreme points and Minkowski-type decompositions over JSON files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -86,8 +86,9 @@ class Cone:
 
     Zero-vector generators are stripped at construction (with a warning):
     they contribute nothing and break ray normalization.  A cone is
-    immutable, so its generator rows and its basis are computed on first
-    use and then reused.
+    immutable, so its generator rows and its table of distinct rays are
+    built on first use and then reused, and each ray's extremality verdict
+    is computed the first time a query reads it and then kept.
     """
 
     def __init__(self, generators: TropMatrix):
@@ -96,7 +97,8 @@ class Cone:
             warnings.warn("dropping zero-vector generators from cone", stacklevel=2)
         self._generators = TropMatrix(kept, dim=generators.dim)
         self._table = None
-        self._basis = None
+        self._rays = None
+        self._verdicts = None
 
     @classmethod
     def from_vectors(cls, vectors, dim: int | None = None) -> "Cone":
@@ -158,26 +160,48 @@ class Cone:
         rows, coords = self._generator_rows()
         return not _covered(rows, coords[k], k)
 
-    def _basis_entries(self) -> tuple[tuple[TropVector, int], ...]:
-        """(normalized generator, original index) per extreme ray.
+    def _ray_table(self) -> tuple[list[tuple], list[int], list[tuple]]:
+        """(normalized coordinates, smallest original index, ``_row``) of each
+        distinct ray, built on first use with every verdict unknown.
 
         The cached coordinates are shifted to maximum 0 (c - top, the floats
         of ``scale``), deduplicated (smallest original index wins) and sorted
-        (``sort_key()`` order); each is kept unless the others cover it
-        (``_covered``, the test behind ``is_extreme_generator``).
+        (``sort_key()`` order): the basis order.
         """
-        if self._basis is None:
+        if self._rays is None:
             seen = {}
             for idx, g in enumerate(self._generator_rows()[1]):
                 top = max(g)
                 seen.setdefault(tuple(c - top for c in g), idx)
             norms = sorted(seen)
-            rows = [_row(norm) for norm in norms]
-            self._basis = tuple(
-                (TropVector.of(*norm), seen[norm])
-                for j, norm in enumerate(norms) if not _covered(rows, norm, j)
-            )
-        return self._basis
+            self._rays = norms, [seen[norm] for norm in norms], [_row(norm) for norm in norms]
+            self._verdicts = [None] * len(norms)
+        return self._rays
+
+    def _verdict(self, j: int) -> tuple[TropVector, int] | bool:
+        """Ray j of ``_ray_table`` as its basis entry (normalized generator,
+        original index) when it is extreme, else False: the other distinct
+        rays cover it (``_covered``, the test behind ``is_extreme_generator``).
+        Tested on first use and kept.
+        """
+        if self._verdicts[j] is None:
+            norms, indices, rows = self._rays
+            extreme = not _covered(rows, norms[j], j)
+            self._verdicts[j] = extreme and (TropVector.of(*norms[j]), indices[j])
+        return self._verdicts[j]
+
+    def _basis_entries(self, start: int = 0, stop: int | None = None) -> list:
+        """(normalized generator, original index) per extreme ray, in basis
+        order, among the rays whose original index is in [start, stop) (all
+        by default); only their verdicts are tested.
+        """
+        indices, verdicts = self._ray_table()[1], self._verdicts
+        stop = self.ngens if stop is None else stop
+        if None in verdicts:
+            for j, idx in enumerate(indices):
+                if verdicts[j] is None and start <= idx < stop:
+                    self._verdict(j)
+        return [entry for entry in verdicts if entry and start <= entry[1] < stop]
 
     def extract_basis(self) -> "Cone":
         """One ray-normalized representative per extreme ray, lex-sorted."""
@@ -189,10 +213,12 @@ class Cone:
 
         Membership is the removal test on the cached generator rows; only a
         refusal computes the projection, which ``NotMember`` carries.  Each
-        extreme ray enters as the generator ``_basis_entries`` kept for it,
-        scaled by its residual lam = min over finite g_i of x_i - g_i (+inf
-        when g has none), which keeps it below x.  Per finite coordinate of
-        x the first of these in basis order that attains it is a term; then,
+        ray not yet known to be covered enters as its generator of smallest
+        original index, scaled by its residual lam = min over finite g_i of
+        x_i - g_i (+inf when g has none), which keeps it below x.  Per finite
+        coordinate of x the first of these in basis order that attains it and
+        is extreme is a term: only these candidates have their verdicts
+        tested, so once all are known only the basis rays are scanned.  Then,
         in original-index order, a term is dropped when the others still
         reach x.  Raises ArithmeticError when float rounding leaves a
         coordinate of a member attained only outside the basis.
@@ -204,7 +230,9 @@ class Cone:
         if not _covered(table, target):
             raise NotMember("vector is not a member of the cone", self.project(x))
 
-        indices = [idx for _, idx in self._basis_entries()]
+        origin = self._ray_table()[1]
+        live = [j for j, verdict in enumerate(self._verdicts) if verdict is not False]
+        indices = [origin[j] for j in live]
         lams, rows = [], []
         for idx in indices:
             lam = math.inf
@@ -218,7 +246,9 @@ class Cone:
         for i, xi in enumerate(target):
             if xi == -math.inf:
                 continue
-            pick = next((k for k, row in enumerate(rows) if row[i] == xi), None)
+            pick = next(
+                (k for k, row in enumerate(rows) if row[i] == xi and self._verdict(live[k])), None
+            )
             if pick is None:
                 raise ArithmeticError(f"no basis generator attains coordinate {i} of the member")
             if pick not in selected:

@@ -88,7 +88,8 @@ class ConvexSet:
 
         This is the closure of the homogenization cone of the set, with the
         recession directions sitting in the last-coordinate-zero slice.  The
-        same cone is returned on every call, so its basis is computed once.
+        same cone is returned on every call, so its rows, its ray table and
+        each extremality verdict are computed at most once.
         """
         if self._cone is None:
             lifted = [TropVector((*p, ONE)) for p in self._points.columns]
@@ -110,18 +111,19 @@ class ConvexSet:
 
         These are the input points whose lift spans a ray the basis of the
         homogenization keeps, so each is returned as given, without arithmetic.
+        Only the rays of lifted points have their verdicts tested.
         """
         p = self._points.ncols
-        out = [self._points[idx] for _, idx in self.homogenize()._basis_entries() if idx < p]
+        out = [self._points[idx] for _, idx in self.homogenize()._basis_entries(stop=p)]
         out.sort(key=lambda v: v.sort_key())
         return out
 
     def recession(self) -> Cone:
         """Recession cone: the basis of the rays' cone, read off the lifted
-        basis (a lifted ray, -inf last, is covered by lifted rays only)."""
-        p = self._points.ncols
-        basis = self.homogenize()._basis_entries()
-        rays = [TropVector(list(norm)[: self.dim]) for norm, idx in basis if idx >= p]
+        basis (a lifted ray, -inf last, is covered by lifted rays only).
+        Only the rays of lifted rays have their verdicts tested."""
+        basis = self.homogenize()._basis_entries(start=self._points.ncols)
+        rays = [TropVector(list(norm)[: self.dim]) for norm, _ in basis]
         return Cone(TropMatrix(rays, dim=self.dim))
 
     def decompose(self, x: TropVector) -> SetDecomposition:

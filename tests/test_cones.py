@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -16,12 +17,16 @@ from maxplus import (
     vectors_equal,
 )
 
+import gen
 import oracle
 from util import (
+    CORPORA,
     NEG,
     ROADMAP_ITEM_4,
     combination,
+    corpus_coeff,
     corpus_value,
+    corpus_vectors,
     exact,
     exact_all,
     floats,
@@ -347,8 +352,73 @@ class TestBasisCache:
         assert C.decompose(vec(2, 1)) == first
         # one more call: the membership test on the cached generator rows
         assert calls[done:] == [(C._generator_rows()[0], vec(2, 1).sort_key())]
+        done += 1
+
+        def tested():
+            """The ray (index in the ray table) of each removal test, in call order."""
+            return [args[2] for args in calls if len(args) == 3]
+
+        # decompose tested the two rays that attain a coordinate of (2, 1);
+        # extract_basis tests only the third, then a second call tests none
+        assert sorted(tested()) == [0, 1]
+        assert C.extract_basis().ngens == 2
+        assert tested()[2:] == [2]
+        assert len(calls) == done + 1
         assert C.extract_basis().ngens == 2
         assert len(calls) == done + 1
+        assert sorted(tested()) == [0, 1, 2]
+
+    @pytest.mark.parametrize("kind", CORPORA)
+    def test_outcomes_do_not_depend_on_call_order(self, kind):
+        """decompose reads only the verdicts it needs; whether extract_basis
+        ran before it or after changes no certificate, refusal or basis."""
+        rng = random.Random(f"call order:{kind}")
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            gens = corpus_vectors(rng, n, kind)
+            targets = gens[:2] + corpus_vectors(rng, n, kind)[:2]
+            for _ in range(3):
+                x = TropVector.zero(n)
+                for g in rng.sample(gens, min(len(gens), 2)):
+                    x = x.join(g.scale(corpus_coeff(rng, kind)))
+                targets.append(x)
+
+            def answers(order):
+                C, out = Cone.from_vectors(gens), {}
+                for step in order:
+                    if step == "basis":
+                        out[step] = C.extract_basis().to_json()
+                    else:
+                        out[step] = outcome(lambda: C.decompose(targets[step]).to_json())
+                return out
+
+            order = ["basis", *range(len(targets))]
+            shuffled = rng.sample(order, len(order))
+            assert answers(order) == answers(order[::-1]) == answers(shuffled)
+
+    def test_first_decompose_tests_fewer_rays_than_the_cone_has(self, monkeypatch):
+        """A build-shaped cone (n=10, m=120, a quarter scaled duplicates and a
+        quarter combinations): a first decompose tests the rays that attain a
+        coordinate of x, not every distinct ray, and none of them twice."""
+        tested = []
+        covered = cones_module._covered
+        monkeypatch.setattr(
+            cones_module,
+            "_covered",
+            lambda rows, x, skip=None: (skip is not None and tested.append(skip))
+            or covered(rows, x, skip),
+        )
+        rng = random.Random(29)
+        for _ in range(5):
+            units = gen.cone(rng, 10, 120, duplicates=0.25, combinations=0.25)
+            C = Cone.from_json(json.loads(gen.cone_text(units, 1)))
+            x = TropVector.from_json(json.loads(gen.vector_text(gen.cone_member(rng, units), 1)))
+            rays = {tuple(c - max(g) for c in g) for g in map(TropVector.sort_key, C.generators)}
+            del tested[:]
+            C.decompose(x)
+            assert len(set(tested)) == len(tested) < len(rays)
+            C.extract_basis()
+            assert sorted(tested) == list(range(len(rays)))
 
 
 class TestContainsCone:

@@ -18,10 +18,13 @@ from maxplus import (
 
 import oracle
 from util import (
+    CORPORA,
     NEG,
     ROADMAP_ITEM_4,
     combination,
+    corpus_coeff,
     corpus_value,
+    corpus_vectors,
     exact,
     exact_all,
     fig1_extreme_points,
@@ -443,6 +446,42 @@ class TestHomogenizationCache:
                     assert outcome(lambda: A.is_extreme(x)) == outcome(
                         lambda: fresh().is_extreme(x)
                     )
+
+    @pytest.mark.parametrize("kind", CORPORA)
+    def test_outcomes_do_not_depend_on_call_order(self, kind):
+        """decompose, extreme_points and recession read only the verdicts of
+        the lifted rays they need; the order of the calls on a fresh set
+        changes no certificate, refusal, basis or point."""
+        rng = random.Random(f"set call order:{kind}")
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            points = corpus_vectors(rng, n, kind)
+            rays = corpus_vectors(rng, n, kind)[: rng.randint(0, 3)]
+            targets = points[:2] + corpus_vectors(rng, n, kind)[:2]
+            for _ in range(2):
+                x = TropVector.zero(n)
+                for p in points:
+                    x = x.join(p.scale(corpus_coeff(rng, kind, hi=0)))
+                for r in rays:
+                    x = x.join(r.scale(corpus_coeff(rng, kind)))
+                targets.append(x.join(points[0]))
+
+            def answers(order):
+                A, out = ConvexSet.from_vectors(points, rays), {}
+                for step in order:
+                    if step == "basis":
+                        out[step] = A.homogenize().extract_basis().to_json()
+                    elif step == "extreme points":
+                        out[step] = [p.to_json() for p in A.extreme_points()]
+                    elif step == "recession":
+                        out[step] = A.recession().to_json()
+                    else:
+                        out[step] = outcome(lambda: A.decompose(targets[step]).to_json())
+                return out
+
+            order = [*range(len(targets)), "extreme points", "recession", "basis"]
+            shuffled = rng.sample(order, len(order))
+            assert answers(order) == answers(order[::-1]) == answers(shuffled)
 
     def test_second_call_runs_no_removal_test(self, monkeypatch):
         calls = []

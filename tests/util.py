@@ -127,6 +127,25 @@ def mixed_vectors(rng: random.Random, n: int, tenths: bool, huge: bool = False) 
     return [v for v, _ in mixed_pairs(rng, n, tenths, huge)]
 
 
+# the seeded corpora: integer, one-decimal, near-overflow, and -inf-heavy
+CORPORA = ("integer", "tenths", "huge", "-inf")
+
+
+def corpus_vectors(rng: random.Random, n: int, kind: str) -> list:
+    """Nonzero vectors of the corpus ``kind``: ``mixed_vectors`` with
+    integer, one-decimal or near-overflow values, or for "-inf" integer
+    vectors with about half of their coordinates -inf."""
+    if kind == "-inf":
+        return [rand_vector(rng, n, p_zero=0.5) for _ in range(rng.randint(1, 8))]
+    return mixed_vectors(rng, n, kind == "tenths", kind == "huge")
+
+
+def corpus_coeff(rng: random.Random, kind: str, hi: int = 9) -> MaxPlusScalar:
+    """A coefficient in [-9, hi] units of the corpus ``kind``: small enough
+    that a near-overflow vector scaled by it stays finite."""
+    return MaxPlusScalar(corpus_value(rng.randint(-9, hi), kind == "tenths", kind == "huge")[0])
+
+
 def rand_set(rng: random.Random, n: int, max_points=6, max_rays=3, with_rays=True) -> ConvexSet:
     p = rng.randint(1, max_points)
     q = rng.randint(0, max_rays) if with_rays else 0
