@@ -86,9 +86,10 @@ class Cone:
 
     Zero-vector generators are stripped at construction (with a warning):
     they contribute nothing and break ray normalization.  A cone is
-    immutable, so its generator rows and its table of distinct rays are
-    built on first use and then reused, and each ray's extremality verdict
-    is computed the first time a query reads it and then kept.
+    immutable, so its generator rows, its table of distinct rays and its
+    basis cone are built on first use and then reused, and each ray's
+    extremality verdict is computed the first time a query reads it and
+    then kept.
     """
 
     def __init__(self, generators: TropMatrix):
@@ -99,6 +100,7 @@ class Cone:
         self._table = None
         self._rays = None
         self._verdicts = None
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, vectors, dim: int | None = None) -> "Cone":
@@ -155,6 +157,8 @@ class Cone:
         so this matches extremality only on a list that is duplicate-free on
         rays; extract_basis deduplicates before applying the same test.
         """
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise TypeError(f"generator index must be an int, got {k!r}")
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
         rows, coords = self._generator_rows()
@@ -204,9 +208,15 @@ class Cone:
         return [entry for entry in verdicts if entry and start <= entry[1] < stop]
 
     def extract_basis(self) -> "Cone":
-        """One ray-normalized representative per extreme ray, lex-sorted."""
-        basis = [norm for norm, _ in self._basis_entries()]
-        return Cone(TropMatrix(basis, dim=self.dim))
+        """One ray-normalized representative per extreme ray, lex-sorted.
+
+        The basis cone is built on the first call, which reads every ray's
+        verdict; every later call returns that same cone.
+        """
+        if self._basis is None:
+            basis = [norm for norm, _ in self._basis_entries()]
+            self._basis = Cone(TropMatrix(basis, dim=self.dim))
+        return self._basis
 
     def decompose(self, x: TropVector) -> ConeDecomposition:
         """Write a member as a max-plus sum of at most dim extreme generators.
@@ -265,7 +275,12 @@ class Cone:
         return ConeDecomposition(tuple(terms), x)
 
     def to_json(self) -> dict:
-        return {"generators": self._generators.to_json()}
+        """The generators; an empty list also states the dimension, which
+        ``from_json`` needs to read it back."""
+        doc = {"generators": self._generators.to_json()}
+        if not self.ngens:
+            doc["dim"] = self.dim
+        return doc
 
     @classmethod
     def from_json(cls, obj) -> "Cone":

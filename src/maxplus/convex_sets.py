@@ -43,7 +43,8 @@ class ConvexSet:
 
     The point list must be non-empty; zero-vector rays are stripped with a
     warning (they add nothing and would break ray normalization).  A set is
-    immutable, so its homogenization is built on first use and then reused.
+    immutable, so its homogenization, its extreme points and its recession
+    cone are built on first use and then reused.
     """
 
     def __init__(self, points: TropMatrix, rays: TropMatrix | None = None):
@@ -59,6 +60,8 @@ class ConvexSet:
         self._points = points
         self._rays = TropMatrix(kept, dim=points.dim)
         self._cone = None
+        self._extreme = None
+        self._recession = None
 
     @classmethod
     def from_vectors(cls, points, rays=()) -> "ConvexSet":
@@ -111,20 +114,28 @@ class ConvexSet:
 
         These are the input points whose lift spans a ray the basis of the
         homogenization keeps, so each is returned as given, without arithmetic.
-        Only the rays of lifted points have their verdicts tested.
+        Only the rays of lifted points have their verdicts tested, on the
+        first call; the set keeps the sorted list and each call returns a
+        new copy of it.
         """
-        p = self._points.ncols
-        out = [self._points[idx] for _, idx in self.homogenize()._basis_entries(stop=p)]
-        out.sort(key=lambda v: v.sort_key())
-        return out
+        if self._extreme is None:
+            cone = self.homogenize()
+            # the lifted coordinates (p, 0) sort as the points p
+            coords = cone._generator_rows()[1]
+            kept = [idx for _, idx in cone._basis_entries(stop=self._points.ncols)]
+            self._extreme = [self._points[idx] for idx in sorted(kept, key=coords.__getitem__)]
+        return list(self._extreme)
 
     def recession(self) -> Cone:
         """Recession cone: the basis of the rays' cone, read off the lifted
         basis (a lifted ray, -inf last, is covered by lifted rays only).
-        Only the rays of lifted rays have their verdicts tested."""
-        basis = self.homogenize()._basis_entries(start=self._points.ncols)
-        rays = [TropVector(list(norm)[: self.dim]) for norm, _ in basis]
-        return Cone(TropMatrix(rays, dim=self.dim))
+        Only the rays of lifted rays have their verdicts tested, on the
+        first call; every later call returns that same cone."""
+        if self._recession is None:
+            basis = self.homogenize()._basis_entries(start=self._points.ncols)
+            rays = [TropVector(list(norm)[: self.dim]) for norm, _ in basis]
+            self._recession = Cone(TropMatrix(rays, dim=self.dim))
+        return self._recession
 
     def decompose(self, x: TropVector) -> SetDecomposition:
         """Write a member as a convex combination of extreme points plus

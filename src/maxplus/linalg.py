@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .semiring import ZERO, MaxPlusScalar, _check_tolerance, residual, scalars_equal
+from .semiring import (
+    ZERO, MaxPlusScalar, _check_tolerance, _floats_to_json, residual, scalars_equal
+)
 
 
 class DimensionMismatch(ValueError):
@@ -106,7 +108,8 @@ class TropVector:
         return f"TropVector({inner})"
 
     def to_json(self) -> list:
-        return [c.to_json() for c in self._coords]
+        """The coordinates by the one rule of ``_floats_to_json``, in one pass."""
+        return _floats_to_json(c._value for c in self._coords)
 
     @classmethod
     def from_json(cls, obj) -> "TropVector":

@@ -68,12 +68,8 @@ class MaxPlusScalar:
         return f"MaxPlusScalar({self._value:g})"
 
     def to_json(self):
-        """JSON encoding: finite values as numbers, the zero as "-inf"."""
-        if self.is_zero:
-            return "-inf"
-        if self._value.is_integer():
-            return int(self._value)
-        return self._value
+        """JSON encoding of the value, by the rule of ``_floats_to_json``."""
+        return _floats_to_json((self._value,))[0]
 
     @classmethod
     def from_json(cls, obj) -> "MaxPlusScalar":
@@ -86,6 +82,13 @@ class MaxPlusScalar:
 
 ZERO = MaxPlusScalar()
 ONE = MaxPlusScalar(0)
+
+
+def _floats_to_json(values) -> list:
+    """The JSON encoding of max-plus values given as floats: an int when
+    integral (so -0.0 is 0 and 1e308 its exact int), "-inf" for the zero,
+    else the float."""
+    return [int(v) if v.is_integer() else v if v != _NEG_INF else "-inf" for v in values]
 
 
 def residual(b: MaxPlusScalar, a: MaxPlusScalar) -> float:

@@ -99,6 +99,12 @@ class TestExtremeGenerator:
         with pytest.raises(IndexError):
             cone((0, 1)).is_extreme_generator(1)
 
+    @pytest.mark.parametrize("k", [1.0, True, False, "0", None])
+    def test_index_must_be_an_int(self, k):
+        # True would otherwise read as generator 1, and 1.0 fail inside the row lookup
+        with pytest.raises(TypeError, match="^generator index must be an int, got "):
+            cone((0, 1), (2, 0)).is_extreme_generator(k)
+
 
 class TestExtractBasis:
     def test_drops_redundant_and_normalizes(self):
@@ -361,11 +367,19 @@ class TestBasisCache:
         # decompose tested the two rays that attain a coordinate of (2, 1);
         # extract_basis tests only the third, then a second call tests none
         assert sorted(tested()) == [0, 1]
-        assert C.extract_basis().ngens == 2
+        scans = []
+        entries = Cone._basis_entries
+        monkeypatch.setattr(
+            Cone, "_basis_entries", lambda self, *args: scans.append(args) or entries(self, *args)
+        )
+        basis = C.extract_basis()
+        assert basis.ngens == 2
         assert tested()[2:] == [2]
         assert len(calls) == done + 1
-        assert C.extract_basis().ngens == 2
+        # a second call returns the same cone: no removal test, no verdict scan
+        assert C.extract_basis() is basis
         assert len(calls) == done + 1
+        assert scans == [()]
         assert sorted(tested()) == [0, 1, 2]
 
     @pytest.mark.parametrize("kind", CORPORA)
@@ -440,3 +454,9 @@ class TestConstruction:
     def test_json_round_trip(self):
         C = cone((0, 1), (2, "-inf"))
         assert list(Cone.from_json(C.to_json()).generators) == list(C.generators)
+        # a cone with no generators states its dimension, so it reads back
+        empty = Cone(TropMatrix([], dim=3))
+        assert empty.to_json() == {"generators": [], "dim": 3}
+        back = Cone.from_json(empty.to_json())
+        assert (back.ngens, back.dim) == (0, 3)
+        assert "dim" not in C.to_json()

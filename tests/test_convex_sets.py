@@ -112,6 +112,15 @@ class TestExtremePoints:
     def test_singleton(self):
         assert ConvexSet.from_vectors([vec(0, 0)]).extreme_points() == [vec(0, 0)]
 
+    def test_each_call_returns_a_new_list(self):
+        A = fig1_set()
+        ext = A.extreme_points()
+        ext.reverse()
+        ext.append(vec(9, 9))
+        del ext[0]
+        assert A.extreme_points() == fig1_extreme_points()
+        assert A.extreme_points() is not A.extreme_points()
+
     def test_near_overflow_point_returned_as_given(self):
         A = ConvexSet.from_vectors([vec(-1e308, 1e308), vec(0, 0)])
         assert A.extreme_points() == [vec(-1e308, 1e308), vec(0, 0)]
@@ -141,6 +150,9 @@ class TestRecession:
     def test_compact_set(self):
         rec = ConvexSet.from_vectors([vec(0, 0)]).recession()
         assert rec.ngens == 0
+        # the empty cone's document reads back (the CLI's recession, then --cone)
+        back = Cone.from_json(rec.to_json())
+        assert (back.ngens, back.dim) == (0, 2)
 
     def test_duplicate_ray_collapses(self):
         A = ConvexSet.from_vectors([vec(0, 0)], [vec(0, 1), vec(-2, -1)])
@@ -489,12 +501,22 @@ class TestHomogenizationCache:
         monkeypatch.setattr(
             cones_module, "_covered", lambda *args: calls.append(args) or covered(*args)
         )
+        scans = []
+        entries = Cone._basis_entries
+        monkeypatch.setattr(
+            Cone, "_basis_entries", lambda self, **kw: scans.append(kw) or entries(self, **kw)
+        )
         A = fig1_set()
         assert A.extreme_points() == fig1_extreme_points()
+        rec = A.recession()
         assert calls
+        assert scans == [{"stop": 5}, {"start": 5}]
         done = len(calls)
+        # each read is kept: no removal test and no verdict scan the second time
         assert A.extreme_points() == fig1_extreme_points()
+        assert A.recession() is rec
         assert len(calls) == done
+        assert len(scans) == 2
         # one call per decompose: the membership test on the cached lifted rows
         membership = (A.homogenize()._generator_rows()[0], vec(5, 5, 0).sort_key())
         for _ in range(2):

@@ -120,8 +120,12 @@ class TestVector:
             TropVector([])
 
     def test_json_round_trip(self):
-        v = vec(1, "-inf", -2.5)
-        assert TropVector.from_json(v.to_json()) == v
+        # the edges of the one JSON rule, as in test_semiring.py
+        for v in (vec(1, "-inf", -2.5), vec(-0.0, 0.1, 5e-324, 2.0**53, 1e308, -math.inf)):
+            assert TropVector.from_json(v.to_json()) == v
+            # the vector's one-pass encoding is its scalars', type included
+            typed = [(type(e), e) for e in v.to_json()]
+            assert typed == [(type(e), e) for e in (c.to_json() for c in v)]
 
 
 class TestMatrix:

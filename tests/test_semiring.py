@@ -140,10 +140,22 @@ class TestLaws:
             assert (lam * a <= b) == (lam.as_float() <= r)
 
 
+# values at the edges of the one JSON rule: a negative zero, a decimal, the
+# least subnormal, 2**53 (above it floats skip odd integers), a near-overflow
+# integer and the semiring zero
+JSON_EDGES = [-0.0, 0.1, 5e-324, 2.0**53, 1e308, -math.inf]
+
+
 class TestJson:
     def test_round_trip(self):
-        for v in [s(3), s(-2.5), ZERO]:
+        for v in [s(3), s(-2.5), ZERO, *map(s, JSON_EDGES)]:
             assert MaxPlusScalar.from_json(v.to_json()) == v
+
+    def test_edge_encodings(self):
+        # an int when integral (its exact value), "-inf" for the zero, else the float
+        got = [(type(e), e) for e in (s(v).to_json() for v in JSON_EDGES)]
+        assert got == [(int, 0), (float, 0.1), (float, 5e-324), (int, 2**53),
+                       (int, int(1e308)), (str, "-inf")]
 
     def test_zero_encodes_as_string(self):
         assert ZERO.to_json() == "-inf"
