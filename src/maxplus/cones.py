@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import chain
 
 from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, project
 from .semiring import MaxPlusScalar
@@ -48,18 +49,96 @@ class ConeDecomposition(Record):
 
 def _row(coords: tuple) -> tuple:
     """The generator row of ``sort_key()`` coordinates: their finite (i, g_i)."""
-    return tuple((i, c) for i, c in enumerate(coords) if c != -math.inf)
+    return tuple([pair for pair in enumerate(coords) if pair[1] != -math.inf])
 
 
-def _covered(rows: list, x: tuple, skip: int | None = None) -> bool:
+# The exact domain: every finite value is an integral float of size at most
+# 2**51.  There x_i - g_i (size <= 2**52) and lam + g_i (< 2**53) are floats
+# that never round.
+_EXACT_LIMIT = 2.0**51
+
+
+def _exact(values) -> bool:
+    """Whether every finite float among ``values`` is in the exact domain."""
+    finite = set(values)
+    finite.discard(-math.inf)
+    return all(map(float.is_integer, finite)) and max(map(abs, finite), default=0.0) <= _EXACT_LIMIT
+
+
+class _Rows(list):
+    """A table of ``_row`` values, with whether every value in it is in the
+    exact domain."""
+
+    __slots__ = ("exact",)
+
+    def __init__(self, rows, exact: bool):
+        super().__init__(rows)
+        self.exact = exact
+
+
+def _table(coords: list) -> _Rows:
+    """The ``_row`` of each of the ``sort_key()`` coordinates, flagged."""
+    return _Rows(map(_row, coords), _exact(chain.from_iterable(coords)))
+
+
+def _covered(rows: _Rows, x: tuple, skip: int | None = None) -> bool:
     """Whether the vector with ``sort_key()`` coordinates ``x`` is a max-plus
-    combination of ``rows`` (all ``_row`` values), leaving out ``rows[skip]``.
+    combination of ``rows`` (a ``_table``), leaving out ``rows[skip]``.
 
-    Each row g enters at its greatest scale lam = min over its pairs of
-    x_i - g_i, which is -inf when g is finite where x is not; x is covered
-    when these scaled rows reach it on every coordinate.  The float
-    operations are those of ``project``, so the answer equals
-    ``project(M, x) == x`` for M the rows taken.
+    The answer is that of ``project(M, x) == x`` for M the rows taken.  When
+    the rows and x are in the exact domain (``_EXACT_LIMIT``: integer input
+    of size at most 2**51) that answer is exact, and ``_covered_exact``
+    decides it in one pass.  Any other input (a
+    one-decimal value, an integer above 2**51, a near-overflow value) takes
+    ``_covered_float``, which repeats ``project``'s float operations,
+    rounding included.  The table was flagged when it was built; x is
+    checked here, on its n values, while its finite coordinates are
+    collected.
+    """
+    if rows.exact:
+        need = 0  # the finite coordinates of x, as a bitmask
+        for i, xi in enumerate(x):
+            if xi != -math.inf:
+                if not xi.is_integer() or abs(xi) > _EXACT_LIMIT:
+                    break
+                need |= 1 << i
+        else:
+            return _covered_exact(rows, x, need, skip)
+    return _covered_float(rows, x, skip)
+
+
+def _covered_exact(rows: _Rows, x: tuple, need: int, skip: int | None) -> bool:
+    """``_covered`` in exact arithmetic, by the covering criterion: each row
+    g enters at its greatest scale lam = min over its pairs of x_i - g_i, and
+    x is covered when every finite x_i (the bits of ``need``) is attained,
+    lam + g_i == x_i, by some row.  A row finite where x is not (a -inf
+    difference) adds nothing.
+    """
+    got = 0
+    for k, row in enumerate(rows):
+        if got == need:
+            return True
+        if k == skip:
+            continue
+        lam, hit = math.inf, 0
+        for i, gi in row:
+            d = x[i] - gi
+            if d < lam:
+                if d == -math.inf:
+                    break
+                lam, hit = d, 1 << i
+            elif d == lam:
+                hit |= 1 << i
+        else:
+            got |= hit
+    return got == need
+
+
+def _covered_float(rows: list, x: tuple, skip: int | None) -> bool:
+    """``_covered`` with the float operations of ``project``: each row g
+    enters at its greatest scale lam = min over its pairs of x_i - g_i,
+    which is -inf when g is finite where x is not; x is covered when these
+    scaled rows reach it on every coordinate.
     """
     cover = [-math.inf] * len(x)
     for k, row in enumerate(rows):
@@ -86,10 +165,13 @@ class Cone:
 
     Zero-vector generators are stripped at construction (with a warning):
     they contribute nothing and break ray normalization.  A cone is
-    immutable, so its generator rows, its table of distinct rays and its
-    basis cone are built on first use and then reused, and each ray's
-    extremality verdict is computed the first time a query reads it and
-    then kept.
+    immutable, so its generator coordinates, its generator rows, its table
+    of distinct rays and its basis cone are built on first use and then
+    reused, and each ray's extremality verdict is computed the first time a
+    query reads it and then kept.  On integer input of size at most 2**51
+    (the exact domain of ``_covered``) every removal test runs in exact
+    arithmetic; any other input takes the loop of ``project``'s float
+    operations.
     """
 
     def __init__(self, generators: TropMatrix):
@@ -97,6 +179,7 @@ class Cone:
         if len(kept) != generators.ncols:
             warnings.warn("dropping zero-vector generators from cone", stacklevel=2)
         self._generators = TropMatrix(kept, dim=generators.dim)
+        self._coords = None
         self._table = None
         self._rays = None
         self._verdicts = None
@@ -129,13 +212,24 @@ class Cone:
     def member(self, x: TropVector) -> bool:
         return self.project(x) == x
 
-    def _generator_rows(self) -> tuple[list[tuple], list[tuple]]:
-        """(``_row`` of each generator, its ``sort_key()`` coordinates),
+    def _generator_coords(self) -> list[tuple]:
+        """The ``sort_key()`` coordinates of each generator, built on first use."""
+        if self._coords is None:
+            self._coords = [g.sort_key() for g in self._generators.columns]
+        return self._coords
+
+    def _generator_rows(self) -> tuple[_Rows, list[tuple]]:
+        """(``_table`` of the generators, their ``sort_key()`` coordinates),
         built on first use; a generator is also a removal test's target."""
         if self._table is None:
-            coords = [g.sort_key() for g in self._generators.columns]
-            self._table = [_row(c) for c in coords], coords
-        return self._table
+            self._table = _table(self._generator_coords())
+        return self._table, self._coords
+
+    def _rows_without(self, x: tuple) -> _Rows:
+        """The generator table without the rows of generators equal to ``x``
+        (``sort_key()`` coordinates), flagged as the whole table."""
+        rows, coords = self._generator_rows()
+        return _Rows((r for r, g in zip(rows, coords) if g != x), rows.exact)
 
     def _covers(self, x: TropVector) -> bool:
         """``member(x)``, for x of the cone's dimension, as the removal test
@@ -147,7 +241,7 @@ class Cone:
         if other.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
         rows = self._generator_rows()[0]
-        return all(_covered(rows, g) for g in other._generator_rows()[1])
+        return all(_covered(rows, g) for g in other._generator_coords())
 
     def is_extreme_generator(self, k: int) -> bool:
         """Generator k is not a max-plus combination of the other generators.
@@ -164,28 +258,32 @@ class Cone:
         rows, coords = self._generator_rows()
         return not _covered(rows, coords[k], k)
 
-    def _ray_table(self) -> tuple[list[tuple], list[int], list[tuple]]:
-        """(normalized coordinates, smallest original index, ``_row``) of each
-        distinct ray, built on first use with every verdict unknown.
+    def _ray_table(self) -> tuple[list[tuple], list[int], _Rows]:
+        """(normalized coordinates, smallest original index, ``_table``) of
+        the distinct rays, built on first use with every verdict unknown.
 
         The cached coordinates are shifted to maximum 0 (c - top, the floats
         of ``scale``), deduplicated (smallest original index wins) and sorted
-        (``sort_key()`` order): the basis order.
+        (``sort_key()`` order): the basis order.  Only the coordinates of the
+        generators are read, not their rows.  The table's exact-domain flag
+        is that of the normalized coordinates, which are the verdicts'
+        targets.
         """
         if self._rays is None:
             seen = {}
-            for idx, g in enumerate(self._generator_rows()[1]):
+            for idx, g in enumerate(self._generator_coords()):
                 top = max(g)
                 seen.setdefault(tuple(c - top for c in g), idx)
             norms = sorted(seen)
-            self._rays = norms, [seen[norm] for norm in norms], [_row(norm) for norm in norms]
+            self._rays = norms, [seen[norm] for norm in norms], _table(norms)
             self._verdicts = [None] * len(norms)
         return self._rays
 
     def _verdict(self, j: int) -> tuple[TropVector, int] | bool:
         """Ray j of ``_ray_table`` as its basis entry (normalized generator,
         original index) when it is extreme, else False: the other distinct
-        rays cover it (``_covered``, the test behind ``is_extreme_generator``).
+        rays cover it (``_covered``, the test behind ``is_extreme_generator``,
+        in exact arithmetic when the ray table is in the exact domain).
         Tested on first use and kept.
         """
         if self._verdicts[j] is None:

@@ -121,7 +121,7 @@ class ConvexSet:
         if self._extreme is None:
             cone = self.homogenize()
             # the lifted coordinates (p, 0) sort as the points p
-            coords = cone._generator_rows()[1]
+            coords = cone._generator_coords()
             kept = [idx for _, idx in cone._basis_entries(stop=self._points.ncols)]
             self._extreme = [self._points[idx] for idx in sorted(kept, key=coords.__getitem__)]
         return list(self._extreme)
@@ -170,13 +170,12 @@ class ConvexSet:
         cone = self.homogenize()
         lifted_x = self.lift(x)
         target = lifted_x.sort_key()
-        rows, coords = cone._generator_rows()
-        if not _covered(rows, target):
+        if not _covered(cone._generator_rows()[0], target):
             raise NotMember(
                 "vector is not a member of the convex set",
                 TropVector(list(cone.project(lifted_x))[: self.dim]),
             )
-        return not _covered([r for r, g in zip(rows, coords) if g != target], target)
+        return not _covered(cone._rows_without(target), target)
 
     def to_json(self) -> dict:
         return {"points": self._points.to_json(), "rays": self._rays.to_json()}

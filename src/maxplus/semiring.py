@@ -73,10 +73,16 @@ class MaxPlusScalar:
 
     @classmethod
     def from_json(cls, obj) -> "MaxPlusScalar":
+        """The value of a JSON number, or the zero from the string "-inf"
+        only: a number that reads as -inf (-1e400, -Infinity) is refused."""
+        if type(obj) is int:  # the common case first; type(True) is bool, refused below
+            return cls(obj)
         if obj == "-inf":
             return ZERO
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
             raise ValueError(f"expected a number or \"-inf\", got {obj!r}")
+        if obj == _NEG_INF:
+            raise ValueError(f"a JSON number must be finite (the zero is \"-inf\"), got {obj!r}")
         return cls(obj)
 
 

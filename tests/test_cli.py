@@ -449,6 +449,17 @@ class TestErrors:
         assert code == EXIT_PARSE
         assert "--x" in err
 
+    @pytest.mark.parametrize("value", ["-1e400", "-Infinity"])
+    def test_number_read_as_minus_inf(self, capsys, tmp_path, value):
+        # json reads both as the float -inf; the zero is the string "-inf" only
+        message = 'a JSON number must be finite (the zero is "-inf"), got -inf\n'
+        code, out, err = run(capsys, "member", "--cone", REC, "--x", f"[{value}, 0]")
+        assert (code, out, err) == (EXIT_PARSE, "", "error: --x: " + message)
+        f = tmp_path / "cone.json"
+        f.write_text('{"generators": [[0, %s], [2, 0]]}' % value)
+        code, out, err = run(capsys, "basis", "--cone", str(f))
+        assert (code, out, err) == (EXIT_PARSE, "", "error: --cone: " + message)
+
     @pytest.mark.parametrize("argv", [
         ["basis", "--cone"],
         ["recession", "--set"],

@@ -216,6 +216,116 @@ class TestRemovalTestReference:
                 assert C.is_extreme_generator(k) == (project(others, g) != g)
 
 
+# the largest size of a finite value in the exact domain of the removal test
+EDGE = 2.0**51
+
+
+def _exact_domain_table(rng, n):
+    """``sort_key()`` coordinates of generators in the exact domain: integer
+    rays with about half of their coordinates -inf, scaled duplicates and
+    max-plus combinations, or (one table in four) rays with values at
+    +-2**51 next to small ones."""
+    if rng.random() < 0.25:
+        values = [EDGE, -EDGE, EDGE - 1, 1 - EDGE, 0.0, 1.0, -1.0, NEG]
+        gens = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        return [tuple(g[:-1] + [rng.choice(values[:-1])]) for g in gens]
+    base = [rand_vector(rng, n, p_zero=0.5) for _ in range(rng.randint(1, 6))]
+    gens = list(base)
+    for _ in range(rng.randint(0, 3)):
+        gens.append(rng.choice(base).scale(MaxPlusScalar(rng.randint(-9, 9))))
+    for _ in range(rng.randint(0, 3)):
+        g, h = rng.choice(base), rng.choice(base)
+        gens.append(g.scale(MaxPlusScalar(rng.randint(-9, 9))).join(h))
+    rng.shuffle(gens)
+    return [g.sort_key() for g in gens]
+
+
+class TestExactForm:
+    """The exact form of the removal test, on tables and targets in the
+    exact domain, against the float loop as the reference."""
+
+    @pytest.fixture
+    def forms(self, monkeypatch):
+        """The form of each removal test, in call order."""
+        ran = []
+        exact_form, float_form = cones_module._covered_exact, cones_module._covered_float
+        monkeypatch.setattr(cones_module, "_covered_exact",
+                            lambda *args: ran.append("exact") or exact_form(*args))
+        monkeypatch.setattr(cones_module, "_covered_float",
+                            lambda *args: ran.append("float") or float_form(*args))
+        return ran
+
+    def test_matches_the_float_loop(self, forms):
+        rng = random.Random(61)
+        answers, checked = set(), 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            coords = _exact_domain_table(rng, n)
+            rows = cones_module._table(coords)
+            assert rows.exact
+            joins = []
+            for _ in range(3):
+                picked = rng.sample(coords, min(len(coords), rng.randint(1, 3)))
+                joins.append(tuple(map(max, *picked)) if len(picked) > 1 else picked[0])
+            targets = coords + joins + [
+                rand_vector(rng, n, p_zero=0.5).sort_key(),
+                rand_vector(rng, n, p_zero=0.5).sort_key(),
+                (NEG,) * n,
+                tuple(rng.choice([EDGE, -EDGE, 0.0, NEG]) for _ in range(n)),
+            ]
+            for x in targets:
+                for skip in [None, *range(len(rows))]:
+                    del forms[:]
+                    answer = cones_module._covered(rows, x, skip)
+                    assert forms == ["exact"]
+                    assert answer == cones_module._covered_float(rows, x, skip), (coords, x, skip)
+                    answers.add(answer)
+                    checked += 1
+        assert answers == {True, False} and checked > 10_000
+
+    @pytest.mark.parametrize("outside", [EDGE + 2, -EDGE - 2, 0.1, -2.5, 1.7e307, -1.7e307])
+    def test_a_value_outside_the_domain_takes_the_loop(self, forms, outside):
+        inside = [(0.0, 1.0), (2.0, 0.0), (EDGE, -EDGE), (-EDGE, NEG)]
+        x = (2.0, 1.0)
+        rows = cones_module._table(inside)
+        assert rows.exact
+        assert cones_module._covered(rows, x) and cones_module._covered(rows, (EDGE, NEG))
+        assert forms == ["exact", "exact"]
+        # in the target
+        for target in [(outside, 1.0), (NEG, outside)]:
+            del forms[:]
+            cones_module._covered(rows, target)
+            assert forms == ["float"]
+        # in the table
+        rows = cones_module._table(inside + [(outside, NEG)])
+        assert not rows.exact
+        del forms[:]
+        assert cones_module._covered(rows, x) and cones_module._covered(rows, (EDGE, NEG), 2)
+        assert forms == ["float", "float"]
+
+    def test_geometries_take_the_form_of_their_input(self, forms):
+        integral = Cone.from_vectors([vec(0, 1), vec(2, 0), vec(2, 1), vec(1, 1)])
+        assert integral._generator_rows()[0].exact and integral._ray_table()[2].exact
+        assert integral.member(vec(2, 1)) and integral._covers(vec(2, 1))
+        assert [integral.is_extreme_generator(k) for k in range(4)] == [True, True, False, False]
+        assert integral.extract_basis().ngens == 2
+        assert set(forms) == {"exact"}
+        del forms[:]
+        assert integral._covers(vec(2, 1.5)) is True
+        assert forms == ["float"]
+        # a generator's ray normalized past 2**51 leaves the ray table to the loop
+        edge = Cone.from_vectors([vec(EDGE, -EDGE), vec(0, 0)])
+        assert edge._generator_rows()[0].exact and not edge._ray_table()[2].exact
+        del forms[:]
+        assert edge.extract_basis().ngens == 2
+        assert forms == ["float", "float"]
+        tenths = Cone.from_vectors([vec(0, 0.1), vec(2, 0)])
+        assert not tenths._generator_rows()[0].exact and not tenths._ray_table()[2].exact
+        del forms[:]
+        assert tenths._covers(vec(2, 1)) == tenths.member(vec(2, 1))
+        assert forms == ["float"]
+
+
 class TestDecompose:
     def test_two_generators(self):
         C = cone((0, 1), (2, 0))

@@ -379,6 +379,17 @@ class TestIsExtreme:
         with pytest.raises(NotMember):
             fig1_set().is_extreme(vec(0, 0))
 
+    def test_integer_input_takes_the_exact_form(self, monkeypatch):
+        # both removal tests of each call: membership, then the other generators
+        ran = []
+        exact_form = cones_module._covered_exact
+        monkeypatch.setattr(
+            cones_module, "_covered_exact", lambda *args: ran.append(args) or exact_form(*args)
+        )
+        A = fig1_set()
+        assert A.is_extreme(vec(3, 2)) and not A.is_extreme(vec(5, 3))
+        assert len(ran) == 4
+
     def test_dimension_mismatch_names_the_set_dims(self):
         with pytest.raises(DimensionMismatch, match="dim 2 vs 3"):
             fig1_set().is_extreme(vec(1, 2, 3))
@@ -600,6 +611,26 @@ class TestCachedRows:
         assert sets_equal(A, B) and sets_equal(B, A)
         assert A.homogenize().contains_cone(B.homogenize())
         assert calls == []
+
+    def test_basis_builds_rows_of_distinct_rays_only(self, monkeypatch):
+        calls = []
+        row = cones_module._row
+        monkeypatch.setattr(cones_module, "_row", lambda c: calls.append(c) or row(c))
+        # (4, 2) is (2, 0) scaled: six generators, five distinct rays
+        C = Cone.from_vectors([vec(0, 1), vec(2, 0), vec(4, 2), vec(2, 1), vec(1, 3), vec(3, 0)])
+        assert C.extract_basis().ngens == 2
+        rays = C._ray_table()[0]
+        assert len(rays) == 5 and calls == rays
+        # the extreme points and the recession cone read the lifted ray table only
+        A = fig1_set()
+        del calls[:]
+        assert A.extreme_points() == fig1_extreme_points()
+        assert A.recession().ngens == 2
+        assert calls == A.homogenize()._ray_table()[0]
+        # a membership test is the first to build the generator rows
+        del calls[:]
+        assert A.member(vec(5, 2))
+        assert calls == A.homogenize()._generator_coords()
 
     def test_sets_equal_names_the_set_dimensions(self):
         with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):

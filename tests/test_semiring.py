@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -168,6 +169,20 @@ class TestJson:
             MaxPlusScalar.from_json("inf")
         with pytest.raises(ValueError):
             MaxPlusScalar.from_json([1])
+
+
+    @pytest.mark.parametrize("text", ["-1e400", "-Infinity"])
+    def test_number_read_as_minus_inf_is_refused(self, text):
+        # json reads both as the float -inf; the zero is the string "-inf" only
+        value = json.loads(text)
+        assert value == -math.inf
+        message = '^a JSON number must be finite \\(the zero is "-inf"\\), got -inf$'
+        with pytest.raises(ValueError, match=message):
+            MaxPlusScalar.from_json(value)
+        with pytest.raises(ValueError, match=message):
+            TropVector.from_json([0, value])
+        # the float -inf is still the zero outside JSON
+        assert MaxPlusScalar(value) == ZERO
 
 
 class TestTolerantEquality:
