@@ -2,8 +2,10 @@
 
 Scalars live in R u {-inf} under (max, +).  Values are floats: answers are
 exact on integer input of float-representable size, not yet on decimals
-(0.3 - 0.1 != 0.2 in floats).  Cones and convex sets are stored by their
-generators (V-representation); the library computes membership via
+(0.3 - 0.1 != 0.2 in floats); an integer that no float holds exactly
+(2**53 + 1) is refused, not rounded.  ``render`` draws sets whose finite
+coordinates are at most 2**51 in size.  Cones and convex sets are stored by
+their generators (V-representation); the library computes membership via
 residuated projection, extracts the unique basis of extreme rays, lists
 extreme points, and produces Minkowski-type decomposition certificates
 (at most n extreme generators for cone members, at most n+1 terms of extreme

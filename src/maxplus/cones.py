@@ -65,6 +65,12 @@ def _exact(values) -> bool:
     return all(map(float.is_integer, finite)) and max(map(abs, finite), default=0.0) <= _EXACT_LIMIT
 
 
+def _ray(coords: tuple) -> tuple:
+    """Nonzero ``sort_key()`` coordinates shifted to maximum 0 (c - top, as ``scale``)."""
+    top = max(coords)
+    return tuple([c - top for c in coords])
+
+
 class _Rows(list):
     """A table of ``_row`` values, with whether every value in it is in the
     exact domain."""
@@ -167,10 +173,11 @@ class Cone:
     they contribute nothing and break ray normalization.  A cone is
     immutable, so its generator coordinates, its generator rows, its table
     of distinct rays and its basis cone are built on first use and then
-    reused, and each ray's extremality verdict is computed the first time a
-    query reads it and then kept.  On integer input of size at most 2**51
-    (the exact domain of ``_covered``) every removal test runs in exact
-    arithmetic; any other input takes the loop of ``project``'s float
+    reused.  The generator rows serve membership; every extremality answer
+    reads one verdict per distinct ray (``_verdict``), computed the first
+    time a query reads it and then kept.  On integer input of size at most
+    2**51 (the exact domain of ``_covered``) every removal test runs in
+    exact arithmetic; any other input takes the loop of ``project``'s float
     operations.
     """
 
@@ -225,12 +232,6 @@ class Cone:
             self._table = _table(self._generator_coords())
         return self._table, self._coords
 
-    def _rows_without(self, x: tuple) -> _Rows:
-        """The generator table without the rows of generators equal to ``x``
-        (``sort_key()`` coordinates), flagged as the whole table."""
-        rows, coords = self._generator_rows()
-        return _Rows((r for r, g in zip(rows, coords) if g != x), rows.exact)
-
     def _covers(self, x: TropVector) -> bool:
         """``member(x)``, for x of the cone's dimension, as the removal test
         on the generator rows."""
@@ -246,64 +247,55 @@ class Cone:
     def is_extreme_generator(self, k: int) -> bool:
         """Generator k is not a max-plus combination of the other generators.
 
-        The removal test of ``_covered`` on the raw generator rows.  A
-        generator with a scaled copy elsewhere in the list is covered by it,
-        so this matches extremality only on a list that is duplicate-free on
-        rays; extract_basis deduplicates before applying the same test.
+        False when another generator is a scaled copy of it (the same
+        ``_ray``); otherwise the verdict of its ray in ``_ray_table``, the
+        test behind ``extract_basis``, so the two always agree.
         """
         if isinstance(k, bool) or not isinstance(k, int):
             raise TypeError(f"generator index must be an int, got {k!r}")
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
-        rows, coords = self._generator_rows()
-        return not _covered(rows, coords[k], k)
+        rays = list(map(_ray, self._generator_coords()))
+        return rays.count(rays[k]) == 1 and self._verdict(self._ray_table()[1].index(k))
 
     def _ray_table(self) -> tuple[list[tuple], list[int], _Rows]:
         """(normalized coordinates, smallest original index, ``_table``) of
         the distinct rays, built on first use with every verdict unknown.
 
-        The cached coordinates are shifted to maximum 0 (c - top, the floats
-        of ``scale``), deduplicated (smallest original index wins) and sorted
-        (``sort_key()`` order): the basis order.  Only the coordinates of the
-        generators are read, not their rows.  The table's exact-domain flag
-        is that of the normalized coordinates, which are the verdicts'
-        targets.
+        The cached coordinates are normalized by ``_ray``, deduplicated
+        (smallest original index wins) and sorted (``sort_key()`` order):
+        the basis order.  Only the coordinates of the generators are read,
+        not their rows.  The table's exact-domain flag is that of the
+        normalized coordinates, which are the verdicts' targets.
         """
         if self._rays is None:
             seen = {}
             for idx, g in enumerate(self._generator_coords()):
-                top = max(g)
-                seen.setdefault(tuple(c - top for c in g), idx)
+                seen.setdefault(_ray(g), idx)
             norms = sorted(seen)
             self._rays = norms, [seen[norm] for norm in norms], _table(norms)
             self._verdicts = [None] * len(norms)
         return self._rays
 
-    def _verdict(self, j: int) -> tuple[TropVector, int] | bool:
-        """Ray j of ``_ray_table`` as its basis entry (normalized generator,
-        original index) when it is extreme, else False: the other distinct
-        rays cover it (``_covered``, the test behind ``is_extreme_generator``,
-        in exact arithmetic when the ray table is in the exact domain).
-        Tested on first use and kept.
+    def _verdict(self, j: int) -> bool:
+        """Whether ray j of ``_ray_table`` is extreme: the other distinct
+        rays do not cover it (``_covered``).  The one extremality test, which
+        every extremality answer reads; tested on first use and kept.
         """
-        if self._verdicts[j] is None:
-            norms, indices, rows = self._rays
-            extreme = not _covered(rows, norms[j], j)
-            self._verdicts[j] = extreme and (TropVector.of(*norms[j]), indices[j])
-        return self._verdicts[j]
+        verdict = self._verdicts[j]
+        if verdict is None:
+            norms, _, rows = self._rays
+            verdict = self._verdicts[j] = not _covered(rows, norms[j], j)
+        return verdict
 
-    def _basis_entries(self, start: int = 0, stop: int | None = None) -> list:
-        """(normalized generator, original index) per extreme ray, in basis
-        order, among the rays whose original index is in [start, stop) (all
-        by default); only their verdicts are tested.
+    def _basis_entries(self, start: int = 0, stop: int | None = None) -> list[int]:
+        """The extreme rays, as indices into ``_ray_table`` (basis order),
+        among the rays whose original index is in [start, stop) (all by
+        default); only their verdicts are tested.
         """
-        indices, verdicts = self._ray_table()[1], self._verdicts
+        indices = self._ray_table()[1]
         stop = self.ngens if stop is None else stop
-        if None in verdicts:
-            for j, idx in enumerate(indices):
-                if verdicts[j] is None and start <= idx < stop:
-                    self._verdict(j)
-        return [entry for entry in verdicts if entry and start <= entry[1] < stop]
+        return [j for j, idx in enumerate(indices) if start <= idx < stop and self._verdict(j)]
 
     def extract_basis(self) -> "Cone":
         """One ray-normalized representative per extreme ray, lex-sorted.
@@ -312,7 +304,8 @@ class Cone:
         verdict; every later call returns that same cone.
         """
         if self._basis is None:
-            basis = [norm for norm, _ in self._basis_entries()]
+            norms = self._ray_table()[0]
+            basis = [TropVector.of(*norms[j]) for j in self._basis_entries()]
             self._basis = Cone(TropMatrix(basis, dim=self.dim))
         return self._basis
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 
-from .cones import Cone, NotMember, _covered, cones_equal
+from .cones import Cone, NotMember, cones_equal
 from .linalg import DimensionMismatch, Record, TropMatrix, TropVector
 from .semiring import ONE, ZERO, MaxPlusScalar
 
@@ -121,8 +121,8 @@ class ConvexSet:
         if self._extreme is None:
             cone = self.homogenize()
             # the lifted coordinates (p, 0) sort as the points p
-            coords = cone._generator_coords()
-            kept = [idx for _, idx in cone._basis_entries(stop=self._points.ncols)]
+            coords, origin = cone._generator_coords(), cone._ray_table()[1]
+            kept = [origin[j] for j in cone._basis_entries(stop=self._points.ncols)]
             self._extreme = [self._points[idx] for idx in sorted(kept, key=coords.__getitem__)]
         return list(self._extreme)
 
@@ -132,8 +132,9 @@ class ConvexSet:
         Only the rays of lifted rays have their verdicts tested, on the
         first call; every later call returns that same cone."""
         if self._recession is None:
-            basis = self.homogenize()._basis_entries(start=self._points.ncols)
-            rays = [TropVector(list(norm)[: self.dim]) for norm, _ in basis]
+            cone = self.homogenize()
+            norms, basis = cone._ray_table()[0], cone._basis_entries(start=self._points.ncols)
+            rays = [TropVector.of(*norms[j][: self.dim]) for j in basis]
             self._recession = Cone(TropMatrix(rays, dim=self.dim))
         return self._recession
 
@@ -162,20 +163,17 @@ class ConvexSet:
     def is_extreme(self, x: TropVector) -> bool:
         """Whether a member is an extreme point of the set.
 
-        The lifted (x, 0) goes through the removal test behind the cone
-        basis, against the lifted rays and the lifted points other than x
-        (a point equal to x lies on its ray): x is extreme unless they cover
-        it.  O(mn) for m generators in dimension n.
+        Every extreme point of a finitely generated set is one of its
+        points, so a member is extreme when it is in ``extreme_points()``:
+        the verdicts of the lifted points' rays.  A non-member is refused
+        with ``NotMember``, which carries the cut projection.
         """
-        cone = self.homogenize()
-        lifted_x = self.lift(x)
-        target = lifted_x.sort_key()
-        if not _covered(cone._generator_rows()[0], target):
+        if not self.member(x):
+            projection = self.homogenize().project(self.lift(x))
             raise NotMember(
-                "vector is not a member of the convex set",
-                TropVector(list(cone.project(lifted_x))[: self.dim]),
+                "vector is not a member of the convex set", TropVector(list(projection)[: self.dim])
             )
-        return not _covered(cone._rows_without(target), target)
+        return x in self.extreme_points()
 
     def to_json(self) -> dict:
         return {"points": self._points.to_json(), "rays": self._rays.to_json()}

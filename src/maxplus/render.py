@@ -11,6 +11,9 @@ PX_PER_UNIT = 40.0
 PAD_UNITS = 2.0
 # coordinates at -inf live on a clipped margin band just outside the box
 BAND_UNITS = 1.0
+# the largest finite coordinate that renders: up to it the frame's padding,
+# band offset and band centre add exactly, and every pixel is finite
+MAX_COORD = 2.0**51
 NEG = -math.inf
 
 
@@ -112,10 +115,9 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
         raise ValueError(f"grid must be an int of at least 1, got {grid!r}")
     if A.dim != 2:
         raise ValueError(f"rendering needs a 2-dimensional set, got dim {A.dim}")
-    frame = _Frame(A)
-    # finite width and height keep every grid point and pixel finite
-    if not (math.isfinite(frame.width) and math.isfinite(frame.height)):
+    if any(MAX_COORD < abs(c) < math.inf for v in (*A.points, *A.rays) for c in v.sort_key()):
         raise ValueError("set is too large to render: its frame overflows a float")
+    frame = _Frame(A)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -140,13 +142,12 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
         f'<text x="2" y="{_fmt(frame.height - 4)}" font-size="10" fill="#888888">-inf</text>'
     )
 
-    # origin cross, unless the origin lies too far from the frame for a float
+    # origin cross
     ox, oy = frame.px(0.0), frame.py(0.0)
-    if math.isfinite(ox) and math.isfinite(oy):
-        parts.append(
-            f'<path d="M {_fmt(ox - 6)} {_fmt(oy)} H {_fmt(ox + 6)} '
-            f'M {_fmt(ox)} {_fmt(oy - 6)} V {_fmt(oy + 6)}" stroke="black" stroke-width="1"/>'
-        )
+    parts.append(
+        f'<path d="M {_fmt(ox - 6)} {_fmt(oy)} H {_fmt(ox + 6)} '
+        f'M {_fmt(ox)} {_fmt(oy - 6)} V {_fmt(oy + 6)}" stroke="black" stroke-width="1"/>'
+    )
 
     # rays drawn as arrows anchored at the join of all points (a member)
     ax, ay = frame.point_px(tuple(map(max, zip(*(p.sort_key() for p in A.points)))))

@@ -12,7 +12,8 @@ class MaxPlusScalar:
 
     The value is a float and the additive zero is -inf.  +inf and NaN are
     refused at construction, so max and + never meet -inf + inf and never
-    make NaN.  Instances are immutable and hashable.
+    make NaN; so is an int that no float holds exactly (2**53 + 1), which
+    would be rounded.  Instances are immutable and hashable.
     """
 
     __slots__ = ("_value",)
@@ -24,6 +25,8 @@ class MaxPlusScalar:
             raise ValueError("max-plus scalar is too large for a float") from exc
         if not v < math.inf:  # +inf or NaN
             raise ValueError(f"max-plus scalar must be finite or -inf, got {value!r}")
+        if v != value and isinstance(value, int):
+            raise ValueError(f"max-plus scalar {value} is an integer that no float holds exactly")
         self._value = v
 
     @property

@@ -337,14 +337,34 @@ class TestRender:
         assert code == EXIT_PARSE
         assert out == "" and "too large to render" in err and "Traceback" not in err
 
-    def test_far_origin_draws_no_cross(self, capsys, tmp_path):
+    # finite coordinates above 2**51 in size: a point far from the origin, two
+    # points whose padding rounds away (all shading 0 x 0), and the same at
+    # 1e17, where both points were drawn inside the -inf band
+    @pytest.mark.parametrize("doc", [
+        {"points": [[1e308, 1e308]]},
+        {"points": [[1e307, 1e307], [1e307, "-inf"]]},
+        {"points": [[1e17, 0], [1e17, 1]]},
+        {"points": [[0, 0]], "rays": [[2**51 + 2, 0]]},
+    ], ids=["far-origin", "flat-frame", "1e17", "ray-past-2-51"])
+    def test_coordinate_past_2_51_refused(self, capsys, tmp_path, doc):
         path = tmp_path / "far.json"
-        path.write_text(json.dumps({"points": [[1e308, 1e308]]}))
-        code, svg, err = run(capsys, "render", "--set", str(path))
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", "--set", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large to render" in err
+
+    def test_coordinate_of_size_2_51_renders(self, capsys, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"points": [[2**51, 0], [2**51, 1]]}))
+        code, svg, err = run(capsys, "render", "--set", str(path), "--grid", "4")
         assert code == EXIT_OK, err
         ET.fromstring(svg)
-        # the "-inf" band label is element text, not an attribute value
+        # every pixel is finite: the "-inf" band label is element text, not an attribute value
         assert re.search(r'="[^"]*inf', svg) is None
+        # x0 = 2**51 - 2 and the band 1 unit wide: both points 3 units in, at 120 px
+        assert svg.count('<circle cx="120" ') == 4
+        assert '<path d="M -90071992547409792 120 ' in svg  # the origin cross, off the picture
 
     def test_grid_zero_rejected(self, capsys):
         code, out, err = run(capsys, "render", "--set", FIG1, "--grid", "0")
@@ -448,6 +468,18 @@ class TestErrors:
         code, _, err = run(capsys, "member", "--cone", REC, "--x", "[" + "9" * 400 + ", 0]")
         assert code == EXIT_PARSE
         assert "--x" in err
+
+    def test_integer_no_float_holds(self, capsys, tmp_path):
+        # 2**53 + 1 would round to 2**53, the cone's generator: a wrong "member": true
+        message = "max-plus scalar 9007199254740993 is an integer that no float holds exactly\n"
+        f = tmp_path / "cone.json"
+        f.write_text('{"generators": [[9007199254740992, 0]]}')
+        for command in ("member", "decompose"):
+            code, out, err = run(capsys, command, "--cone", str(f), "--x", "[9007199254740993, 0]")
+            assert (code, out, err) == (EXIT_PARSE, "", "error: --x: " + message)
+        f.write_text('{"generators": [[9007199254740993, 0]]}')
+        code, out, err = run(capsys, "basis", "--cone", str(f))
+        assert (code, out, err) == (EXIT_PARSE, "", "error: --cone: " + message)
 
     @pytest.mark.parametrize("value", ["-1e400", "-Infinity"])
     def test_number_read_as_minus_inf(self, capsys, tmp_path, value):

@@ -13,7 +13,6 @@ from maxplus import (
     TropMatrix,
     TropVector,
     cones_equal,
-    project,
     vectors_equal,
 )
 
@@ -32,10 +31,12 @@ from util import (
     floats,
     mixed_pairs,
     mixed_vectors,
+    normalized,
     outcome,
     rand_cone,
     rand_cone_member,
     rand_vector,
+    reference_basis,
     same_ray,
     vec,
 )
@@ -98,6 +99,33 @@ class TestExtremeGenerator:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             cone((0, 1)).is_extreme_generator(1)
+
+    def test_agrees_with_the_basis_on_one_decimal_input(self):
+        # the raw rows cover (-0.2, 0.6) by neither other generator; its
+        # normalized ray, which the basis drops, is covered
+        C = cone((-0.2, 0.6), (-0.4, 0.7), (0.5, -0.3))
+        assert [C.is_extreme_generator(k) for k in range(3)] == [False, True, True]
+        assert C.extract_basis().ngens == 2
+
+    @pytest.mark.parametrize("kind", CORPORA)
+    def test_reads_the_basis(self, kind):
+        """Generator k is extreme when no other generator is a scaled copy of
+        it and its ray is a basis ray; on integer input that is exact."""
+        rng = random.Random(f"extreme generator:{kind}")
+        answers = set()
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            C = Cone.from_vectors(corpus_vectors(rng, n, kind))
+            basis = list(C.extract_basis().generators)
+            rays = list(map(normalized, C.generators))
+            gens = exact_all(C.generators)
+            for k, ray in enumerate(rays):
+                answer = C.is_extreme_generator(k)
+                assert answer == (rays.count(ray) == 1 and ray in basis)
+                if kind in ("integer", "-inf"):
+                    assert answer == (not oracle.cone_member(gens[:k] + gens[k + 1:], gens[k]))
+                answers.add(answer)
+        assert answers == {True, False}
 
     @pytest.mark.parametrize("k", [1.0, True, False, "0", None])
     def test_index_must_be_an_int(self, k):
@@ -187,19 +215,6 @@ def _decompose_corpus():
         yield C, [e for _, e in pairs], integral, targets
 
 
-def _reference_basis(C):
-    """The removal test as a loop over public project: deduplicated,
-    lex-sorted normalized generators, each kept unless the others reach it."""
-    norms = {g.scale(MaxPlusScalar(-max(g.sort_key()))) for g in C.generators}
-    entries = sorted(norms, key=lambda v: v.sort_key())
-    kept = []
-    for j, norm in enumerate(entries):
-        others = TropMatrix(entries[:j] + entries[j + 1:], dim=C.dim)
-        if project(others, norm) != norm:
-            kept.append(norm)
-    return kept
-
-
 class TestRemovalTestReference:
     def test_basis_and_extreme_generators_match_project_loop(self):
         rng = random.Random(26)
@@ -209,11 +224,12 @@ class TestRemovalTestReference:
             n = rng.randint(1, 5)
             cones.append(Cone(TropMatrix(mixed_vectors(rng, n, False, True), dim=n)))
         for C in cones:
-            assert list(C.extract_basis().generators) == _reference_basis(C)
-            gens = list(C.generators)
-            for k, g in enumerate(gens):
-                others = TropMatrix(gens[:k] + gens[k + 1:], dim=C.dim)
-                assert C.is_extreme_generator(k) == (project(others, g) != g)
+            basis = reference_basis(C)
+            assert list(C.extract_basis().generators) == basis
+            # a generator is extreme when it is unique on its ray and the basis keeps that ray
+            rays = list(map(normalized, C.generators))
+            for k, ray in enumerate(rays):
+                assert C.is_extreme_generator(k) == (rays.count(ray) == 1 and ray in basis)
 
 
 # the largest size of a finite value in the exact domain of the removal test

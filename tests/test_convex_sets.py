@@ -379,16 +379,37 @@ class TestIsExtreme:
         with pytest.raises(NotMember):
             fig1_set().is_extreme(vec(0, 0))
 
+    @pytest.mark.parametrize("kind", CORPORA)
+    def test_reads_the_extreme_points(self, kind):
+        """A point that ``member`` accepts is extreme when it is one of the
+        extreme points; on integer input that is exact."""
+        rng = random.Random(f"extreme point:{kind}")
+        answers = set()
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            points = corpus_vectors(rng, n, kind)
+            rays = corpus_vectors(rng, n, kind)[: rng.randint(0, 3)]
+            A = ConvexSet.from_vectors(points, rays)
+            extreme = A.extreme_points()
+            exact_extreme = oracle.extreme_points(exact_all(points), exact_all(rays))
+            for p in points:
+                if not A.member(p):
+                    continue
+                answer = A.is_extreme(p)
+                assert answer == (p in extreme)
+                if kind in ("integer", "-inf"):
+                    assert answer == (exact(p) in exact_extreme)
+                answers.add(answer)
+        assert answers == {True, False}
+
     def test_integer_input_takes_the_exact_form(self, monkeypatch):
-        # both removal tests of each call: membership, then the other generators
-        ran = []
-        exact_form = cones_module._covered_exact
-        monkeypatch.setattr(
-            cones_module, "_covered_exact", lambda *args: ran.append(args) or exact_form(*args)
-        )
+        # the membership test and the verdicts of the lifted points' rays
+        def fail(*args):
+            raise AssertionError("the float form ran on integer input")
+
+        monkeypatch.setattr(cones_module, "_covered_float", fail)
         A = fig1_set()
         assert A.is_extreme(vec(3, 2)) and not A.is_extreme(vec(5, 3))
-        assert len(ran) == 4
 
     def test_dimension_mismatch_names_the_set_dims(self):
         with pytest.raises(DimensionMismatch, match="dim 2 vs 3"):

@@ -84,6 +84,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^max-plus scalar must be finite or -inf, got inf$"):
             s(1e308) * s(1e308)
 
+    @pytest.mark.parametrize("value", [2**53 + 1, -(2**53) - 1, 2**60 + 1, 3**40])
+    def test_rejects_an_int_no_float_holds(self, value):
+        # float() would round it, and a rounded input gives a wrong answer
+        message = f"^max-plus scalar {value} is an integer that no float holds exactly$"
+        with pytest.raises(ValueError, match=message):
+            MaxPlusScalar(value)
+        with pytest.raises(ValueError, match=message):
+            MaxPlusScalar.from_json(value)
+
+    @pytest.mark.parametrize("value", [2**53, -(2**53), 2**60, 2**1023, 0, -7])
+    def test_keeps_an_int_a_float_holds(self, value):
+        assert MaxPlusScalar(value).as_float() == value
+        assert MaxPlusScalar.from_json(value).to_json() == value
+
     def test_none_is_not_a_scalar(self):
         # the zero is -inf (or no argument); None has no meaning here
         with pytest.raises(TypeError):

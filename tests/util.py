@@ -213,7 +213,8 @@ def reference_cone_decompose(C: Cone, x: TropVector) -> ConeDecomposition:
     proj = C.project(x)
     if proj != x:
         raise NotMember("vector is not a member of the cone", proj)
-    indices = [idx for _, idx in C._basis_entries()]
+    origin = C._ray_table()[1]
+    indices = [origin[j] for j in C._basis_entries()]
     gens = [C.generators[idx] for idx in indices]
     lams = left_residual(TropMatrix(gens, dim=C.dim), x)
     rows = [tuple(lam + gi for gi in g.sort_key()) for g, lam in zip(gens, lams)]
@@ -250,14 +251,14 @@ def reference_set_decompose(A: ConvexSet, x: TropVector) -> SetDecomposition:
 
 def reference_is_extreme(A: ConvexSet, x: TropVector) -> bool:
     """Refuse unless ``project`` of the homogenization keeps (x, 0); then x
-    is extreme unless the other lifted generators project onto (x, 0)."""
+    is extreme when it is an input point whose normalized lifted ray the
+    ``project``-based basis of the homogenization keeps."""
     cone, lifted = A.homogenize(), A.lift(x)
     proj = cone.project(lifted)
     if proj != lifted:
         projection = TropVector(list(proj)[: A.dim])
         raise NotMember("vector is not a member of the convex set", projection)
-    others = [g for g in cone.generators if g != lifted]
-    return project(TropMatrix(others, dim=A.dim + 1), lifted) != lifted
+    return x in A.points and normalized(lifted) in reference_basis(cone)
 
 
 def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
@@ -292,6 +293,23 @@ def reference_shading_rects(A: ConvexSet, frame, grid: int) -> list:
                 )
                 run_start = None
     return rows
+
+
+def normalized(g: TropVector) -> TropVector:
+    """The nonzero vector g scaled to maximum 0: its ray."""
+    return g.scale(MaxPlusScalar(-max(g.sort_key())))
+
+
+def reference_basis(C: Cone) -> list:
+    """The removal test as a loop over public ``project``: deduplicated,
+    lex-sorted normalized generators, each kept unless the others reach it."""
+    entries = sorted(set(map(normalized, C.generators)), key=TropVector.sort_key)
+    kept = []
+    for j, norm in enumerate(entries):
+        others = TropMatrix(entries[:j] + entries[j + 1:], dim=C.dim)
+        if project(others, norm) != norm:
+            kept.append(norm)
+    return kept
 
 
 def reference_extreme_points(A: ConvexSet) -> list:
