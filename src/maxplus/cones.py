@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
+from functools import cached_property
 from itertools import chain
 
-from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, project
-from .semiring import MaxPlusScalar
+from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, _read_rows, project
+from .semiring import MaxPlusScalar, _floats_to_json
 
 
 class NotMember(ValueError):
@@ -37,7 +39,7 @@ class ConeDecomposition(Record):
     def recombine(self, cone: "Cone") -> TropVector:
         out = TropVector.zero(cone.dim)
         for k, coeff in self.terms:
-            out = out.join(cone.generators[k].scale(coeff))
+            out = out.join(TropVector._of_floats(cone._coords[k]).scale(coeff))
         return out
 
     def to_json(self) -> dict:
@@ -48,8 +50,11 @@ class ConeDecomposition(Record):
 
 
 def _row(coords: tuple) -> tuple:
-    """The generator row of ``sort_key()`` coordinates: their finite (i, g_i)."""
-    return tuple([pair for pair in enumerate(coords) if pair[1] != -math.inf])
+    """The generator row of ``sort_key()`` coordinates: (the bitmask of the
+    finite ones, their (i, g_i))."""
+    pairs = tuple([pair for pair in enumerate(coords) if pair[1] != -math.inf])
+    mask = (1 << len(pairs)) - 1 if len(pairs) == len(coords) else sum([1 << i for i, _ in pairs])
+    return mask, pairs
 
 
 # The exact domain: every finite value is an integral float of size at most
@@ -118,25 +123,22 @@ def _covered_exact(rows: _Rows, x: tuple, need: int, skip: int | None) -> bool:
     g enters at its greatest scale lam = min over its pairs of x_i - g_i, and
     x is covered when every finite x_i (the bits of ``need``) is attained,
     lam + g_i == x_i, by some row.  A row finite where x is not (a -inf
-    difference) adds nothing.
+    difference) adds nothing, so its pairs are not read.
     """
-    got = 0
-    for k, row in enumerate(rows):
+    got, outside = 0, ~need
+    for k, (support, row) in enumerate(rows):
         if got == need:
             return True
-        if k == skip:
+        if support & outside or k == skip:
             continue
         lam, hit = math.inf, 0
         for i, gi in row:
             d = x[i] - gi
             if d < lam:
-                if d == -math.inf:
-                    break
                 lam, hit = d, 1 << i
             elif d == lam:
                 hit |= 1 << i
-        else:
-            got |= hit
+        got |= hit
     return got == need
 
 
@@ -147,7 +149,7 @@ def _covered_float(rows: list, x: tuple, skip: int | None) -> bool:
     scaled rows reach it on every coordinate.
     """
     cover = [-math.inf] * len(x)
-    for k, row in enumerate(rows):
+    for k, (_, row) in enumerate(rows):
         if k == skip:
             continue
         lam = math.inf
@@ -170,66 +172,71 @@ class Cone:
     """Finitely generated max-plus cone in V-representation.
 
     Zero-vector generators are stripped at construction (with a warning):
-    they contribute nothing and break ray normalization.  A cone is
-    immutable, so its generator coordinates, its generator rows, its table
-    of distinct rays and its basis cone are built on first use and then
-    reused.  The generator rows serve membership; every extremality answer
-    reads one verdict per distinct ray (``_verdict``), computed the first
-    time a query reads it and then kept.  On integer input of size at most
-    2**51 (the exact domain of ``_covered``) every removal test runs in
-    exact arithmetic; any other input takes the loop of ``project``'s float
-    operations.
+    they contribute nothing and break ray normalization.  The cone holds the
+    ``sort_key()`` float rows of its generators, read by ``from_json`` straight
+    from the document.  A cone is immutable, so its ``generators`` (a
+    ``TropMatrix`` view of those rows), generator rows, table of distinct rays
+    and basis cone are built on first use and then reused.  The generator
+    rows serve membership; every extremality answer reads one verdict per
+    distinct ray (``_verdict``), computed the first time a query reads it
+    and then kept.  On integer input of size at most 2**51 (the exact domain
+    of ``_covered``) every removal test runs in exact arithmetic; any other
+    input takes the loop of ``project``'s float operations.
     """
 
     def __init__(self, generators: TropMatrix):
-        kept = [g for g in generators.columns if not g.is_zero_vector]
-        if len(kept) != generators.ncols:
-            warnings.warn("dropping zero-vector generators from cone", stacklevel=2)
-        self._generators = TropMatrix(kept, dim=generators.dim)
-        self._coords = None
-        self._table = None
-        self._rays = None
-        self._verdicts = None
-        self._basis = None
+        self._setup([g.sort_key() for g in generators.columns], generators.dim)
+
+    def _setup(self, coords: list[tuple], dim: int) -> None:
+        self._coords = [g for g in coords if max(g) != -math.inf]
+        if len(self._coords) != len(coords):
+            warnings.warn("dropping zero-vector generators from cone", stacklevel=3)
+        self._dim = dim
+        self._table = self._rays = self._verdicts = self._ray_index = self._basis = None
+
+    @classmethod
+    def _of_coords(cls, coords: list[tuple], dim: int) -> "Cone":
+        """The cone of checked ``sort_key()`` rows, with no vector built."""
+        cone = cls.__new__(cls)
+        cone._setup(coords, dim)
+        return cone
 
     @classmethod
     def from_vectors(cls, vectors, dim: int | None = None) -> "Cone":
         return cls(TropMatrix(vectors, dim=dim))
 
-    @property
+    @cached_property
     def generators(self) -> TropMatrix:
-        return self._generators
+        return TropMatrix(map(TropVector._of_floats, self._coords), self._dim)
 
     @property
     def dim(self) -> int:
-        return self._generators.dim
+        return self._dim
 
     @property
     def ngens(self) -> int:
-        return self._generators.ncols
+        return len(self._coords)
 
     def __repr__(self) -> str:
-        return f"Cone({list(self._generators.columns)!r})"
+        return f"Cone({list(self.generators.columns)!r})"
 
     def project(self, x: TropVector) -> TropVector:
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
-        return project(self._generators, x)
+        return project(self.generators, x)
 
     def member(self, x: TropVector) -> bool:
         return self.project(x) == x
 
     def _generator_coords(self) -> list[tuple]:
-        """The ``sort_key()`` coordinates of each generator, built on first use."""
-        if self._coords is None:
-            self._coords = [g.sort_key() for g in self._generators.columns]
+        """The ``sort_key()`` coordinates of each generator."""
         return self._coords
 
     def _generator_rows(self) -> tuple[_Rows, list[tuple]]:
         """(``_table`` of the generators, their ``sort_key()`` coordinates),
         built on first use; a generator is also a removal test's target."""
         if self._table is None:
-            self._table = _table(self._generator_coords())
+            self._table = _table(self._coords)
         return self._table, self._coords
 
     def _covers(self, x: TropVector) -> bool:
@@ -249,14 +256,19 @@ class Cone:
 
         False when another generator is a scaled copy of it (the same
         ``_ray``); otherwise the verdict of its ray in ``_ray_table``, the
-        test behind ``extract_basis``, so the two always agree.
+        test behind ``extract_basis``, so the two always agree.  The first
+        call finds each generator's ray in the table; later calls look it up.
         """
         if isinstance(k, bool) or not isinstance(k, int):
             raise TypeError(f"generator index must be an int, got {k!r}")
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
-        rays = list(map(_ray, self._generator_coords()))
-        return rays.count(rays[k]) == 1 and self._verdict(self._ray_table()[1].index(k))
+        if self._ray_index is None:
+            rays = list(map(_ray, self._coords))
+            count, position = Counter(rays), {r: j for j, r in enumerate(self._ray_table()[0])}
+            self._ray_index = [position[r] if count[r] == 1 else None for r in rays]
+        j = self._ray_index[k]
+        return j is not None and self._verdict(j)
 
     def _ray_table(self) -> tuple[list[tuple], list[int], _Rows]:
         """(normalized coordinates, smallest original index, ``_table``) of
@@ -270,7 +282,7 @@ class Cone:
         """
         if self._rays is None:
             seen = {}
-            for idx, g in enumerate(self._generator_coords()):
+            for idx, g in enumerate(self._coords):
                 seen.setdefault(_ray(g), idx)
             norms = sorted(seen)
             self._rays = norms, [seen[norm] for norm in norms], _table(norms)
@@ -305,8 +317,7 @@ class Cone:
         """
         if self._basis is None:
             norms = self._ray_table()[0]
-            basis = [TropVector.of(*norms[j]) for j in self._basis_entries()]
-            self._basis = Cone(TropMatrix(basis, dim=self.dim))
+            self._basis = Cone._of_coords([norms[j] for j in self._basis_entries()], self.dim)
         return self._basis
 
     def decompose(self, x: TropVector) -> ConeDecomposition:
@@ -337,7 +348,7 @@ class Cone:
         lams, rows = [], []
         for idx in indices:
             lam = math.inf
-            for i, gi in table[idx]:
+            for i, gi in table[idx][1]:
                 if target[i] - gi < lam:
                     lam = target[i] - gi
             lams.append(lam)
@@ -368,7 +379,7 @@ class Cone:
     def to_json(self) -> dict:
         """The generators; an empty list also states the dimension, which
         ``from_json`` needs to read it back."""
-        doc = {"generators": self._generators.to_json()}
+        doc = {"generators": list(map(_floats_to_json, self._coords))}
         if not self.ngens:
             doc["dim"] = self.dim
         return doc
@@ -377,8 +388,7 @@ class Cone:
     def from_json(cls, obj) -> "Cone":
         if not isinstance(obj, dict) or "generators" not in obj:
             raise ValueError("cone document must be an object with a \"generators\" field")
-        dim = obj.get("dim")
-        return cls(TropMatrix.from_json(obj["generators"], dim=dim))
+        return cls._of_coords(*_read_rows(obj["generators"], dim=obj.get("dim")))
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import warnings
+from functools import cached_property
 
 from .cones import Cone, NotMember, cones_equal
-from .linalg import DimensionMismatch, Record, TropMatrix, TropVector
-from .semiring import ONE, ZERO, MaxPlusScalar
+from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, _read_rows
+from .semiring import ONE, MaxPlusScalar, _floats_to_json
 
 
 class SetDecomposition(Record):
@@ -25,9 +27,9 @@ class SetDecomposition(Record):
     def recombine(self, A: "ConvexSet") -> TropVector:
         out = TropVector.zero(A.dim)
         for k, coeff in self.point_terms:
-            out = out.join(A.points[k].scale(coeff))
+            out = out.join(TropVector._of_floats(A._rows[k]).scale(coeff))
         for h, coeff in self.ray_terms:
-            out = out.join(A.rays[h].scale(coeff))
+            out = out.join(TropVector._of_floats(A._rows[A._npoints + h]).scale(coeff))
         return out
 
     def to_json(self) -> dict:
@@ -42,26 +44,28 @@ class ConvexSet:
     """A = co(points) + cone(rays), both finite, in V-representation.
 
     The point list must be non-empty; zero-vector rays are stripped with a
-    warning (they add nothing and would break ray normalization).  A set is
-    immutable, so its homogenization, its extreme points and its recession
-    cone are built on first use and then reused.
+    warning (they add nothing and would break ray normalization).  The set
+    holds the ``sort_key()`` float rows of its points, then of its rays,
+    which ``from_json`` reads straight from the document.  A set is
+    immutable, so its ``points`` and ``rays`` (``TropMatrix`` views of those
+    rows), its homogenization, its extreme points and its recession cone are
+    built on first use and then reused.
     """
 
     def __init__(self, points: TropMatrix, rays: TropMatrix | None = None):
         if points.ncols == 0:
             raise ValueError("a convex set needs at least one point")
-        if rays is None:
-            rays = TropMatrix([], dim=points.dim)
-        if rays.dim != points.dim:
+        if rays is not None and rays.dim != points.dim:
             raise DimensionMismatch(f"points dim {points.dim} vs rays dim {rays.dim}")
-        kept = [r for r in rays.columns if not r.is_zero_vector]
-        if len(kept) != rays.ncols:
-            warnings.warn("dropping zero-vector rays from convex set", stacklevel=2)
-        self._points = points
-        self._rays = TropMatrix(kept, dim=points.dim)
-        self._cone = None
-        self._extreme = None
-        self._recession = None
+        self._setup([p.sort_key() for p in points], [r.sort_key() for r in rays or ()], points.dim)
+
+    def _setup(self, points: list[tuple], rays: list[tuple], dim: int) -> None:
+        kept = [r for r in rays if max(r) != -math.inf]
+        if len(kept) != len(rays):
+            warnings.warn("dropping zero-vector rays from convex set", stacklevel=3)
+        self._rows = points + kept
+        self._npoints, self._dim = len(points), dim
+        self._cone = self._extreme = self._recession = None
 
     @classmethod
     def from_vectors(cls, points, rays=()) -> "ConvexSet":
@@ -71,20 +75,20 @@ class ConvexSet:
         dim = pts[0].dim
         return cls(TropMatrix(pts, dim=dim), TropMatrix(rays, dim=dim))
 
-    @property
+    @cached_property
     def points(self) -> TropMatrix:
-        return self._points
+        return TropMatrix(map(TropVector._of_floats, self._rows[: self._npoints]), self._dim)
 
-    @property
+    @cached_property
     def rays(self) -> TropMatrix:
-        return self._rays
+        return TropMatrix(map(TropVector._of_floats, self._rows[self._npoints:]), self._dim)
 
     @property
     def dim(self) -> int:
-        return self._points.dim
+        return self._dim
 
     def __repr__(self) -> str:
-        return f"ConvexSet(points={list(self._points.columns)!r}, rays={list(self._rays.columns)!r})"
+        return f"ConvexSet(points={list(self.points.columns)!r}, rays={list(self.rays.columns)!r})"
 
     def homogenize(self) -> Cone:
         """Lift to dimension n+1: points get last coordinate 0, rays -inf.
@@ -95,9 +99,9 @@ class ConvexSet:
         each extremality verdict are computed at most once.
         """
         if self._cone is None:
-            lifted = [TropVector((*p, ONE)) for p in self._points.columns]
-            lifted += [TropVector((*r, ZERO)) for r in self._rays.columns]
-            self._cone = Cone(TropMatrix(lifted, dim=self.dim + 1))
+            rows, p = self._rows, self._npoints
+            lifted = [g + (0.0,) for g in rows[:p]] + [g + (-math.inf,) for g in rows[p:]]
+            self._cone = Cone._of_coords(lifted, self._dim + 1)
         return self._cone
 
     def lift(self, x: TropVector) -> TropVector:
@@ -121,9 +125,9 @@ class ConvexSet:
         if self._extreme is None:
             cone = self.homogenize()
             # the lifted coordinates (p, 0) sort as the points p
-            coords, origin = cone._generator_coords(), cone._ray_table()[1]
-            kept = [origin[j] for j in cone._basis_entries(stop=self._points.ncols)]
-            self._extreme = [self._points[idx] for idx in sorted(kept, key=coords.__getitem__)]
+            origin = cone._ray_table()[1]
+            kept = sorted(self._rows[origin[j]] for j in cone._basis_entries(stop=self._npoints))
+            self._extreme = list(map(TropVector._of_floats, kept))
         return list(self._extreme)
 
     def recession(self) -> Cone:
@@ -133,9 +137,8 @@ class ConvexSet:
         first call; every later call returns that same cone."""
         if self._recession is None:
             cone = self.homogenize()
-            norms, basis = cone._ray_table()[0], cone._basis_entries(start=self._points.ncols)
-            rays = [TropVector.of(*norms[j][: self.dim]) for j in basis]
-            self._recession = Cone(TropMatrix(rays, dim=self.dim))
+            norms, basis = cone._ray_table()[0], cone._basis_entries(start=self._npoints)
+            self._recession = Cone._of_coords([norms[j][: self.dim] for j in basis], self.dim)
         return self._recession
 
     def decompose(self, x: TropVector) -> SetDecomposition:
@@ -150,15 +153,10 @@ class ConvexSet:
                 "vector is not a member of the convex set",
                 TropVector(list(exc.projection)[: self.dim]),
             ) from None
-        p = self._points.ncols
-        point_terms = []
-        ray_terms = []
-        for k, coeff in cone_dec.terms:
-            if k < p:
-                point_terms.append((k, coeff))
-            else:
-                ray_terms.append((k - p, coeff))
-        return SetDecomposition(tuple(point_terms), tuple(ray_terms), x)
+        p, terms = self._npoints, cone_dec.terms
+        point_terms = tuple((k, coeff) for k, coeff in terms if k < p)
+        ray_terms = tuple((k - p, coeff) for k, coeff in terms if k >= p)
+        return SetDecomposition(point_terms, ray_terms, x)
 
     def is_extreme(self, x: TropVector) -> bool:
         """Whether a member is an extreme point of the set.
@@ -176,15 +174,17 @@ class ConvexSet:
         return x in self.extreme_points()
 
     def to_json(self) -> dict:
-        return {"points": self._points.to_json(), "rays": self._rays.to_json()}
+        encode = list(map(_floats_to_json, self._rows))
+        return {"points": encode[: self._npoints], "rays": encode[self._npoints:]}
 
     @classmethod
     def from_json(cls, obj) -> "ConvexSet":
         if not isinstance(obj, dict) or "points" not in obj:
             raise ValueError("set document must be an object with a \"points\" field")
-        points = TropMatrix.from_json(obj["points"])
-        rays = TropMatrix.from_json(obj.get("rays", []), dim=points.dim)
-        return cls(points, rays)
+        points, dim = _read_rows(obj["points"])
+        convex_set = cls.__new__(cls)
+        convex_set._setup(points, _read_rows(obj.get("rays", []), dim=dim)[0], dim)
+        return convex_set
 
 
 def sets_equal(a: ConvexSet, b: ConvexSet) -> bool:

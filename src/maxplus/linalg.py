@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from .semiring import (
     ZERO, MaxPlusScalar, _check_tolerance, _floats_to_json, residual, scalars_equal
@@ -60,6 +61,13 @@ class TropVector:
     def of(cls, *values) -> "TropVector":
         """Build from plain numbers; -inf (or float('-inf')) gives the zero."""
         return cls(MaxPlusScalar(v) for v in values)
+
+    @classmethod
+    def _of_floats(cls, coords: tuple) -> "TropVector":
+        """The vector of checked ``sort_key()`` coordinates, built unchecked."""
+        v = _new(cls)
+        v._coords = tuple(map(_scalar, coords))
+        return v
 
     @classmethod
     def zero(cls, dim: int) -> "TropVector":
@@ -182,6 +190,37 @@ class TropMatrix:
         if not isinstance(obj, list):
             raise ValueError(f"expected an array of vectors, got {obj!r}")
         return cls((TropVector.from_json(v) for v in obj), dim=dim)
+
+
+_new = object.__new__
+
+
+def _scalar(value: float) -> MaxPlusScalar:
+    """The scalar of a checked float, built without the checks of ``__init__``."""
+    s = _new(MaxPlusScalar)
+    s._value = value
+    return s
+
+
+def _read_rows(obj, dim: int | None = None) -> tuple[list[tuple], int]:
+    """(the ``sort_key()`` of each column, the dimension) of ``TropMatrix.from_json(obj,
+    dim)``, read in one pass that checks each distinct scalar once by ``from_json``; a
+    document that pass cannot read goes to ``TropMatrix.from_json``, which raises."""
+    if (type(obj) is list and {list} == set(map(type, obj)) and len(set(map(len, obj))) == 1
+            and obj[0] and (dim is None or type(dim) is int and dim == len(obj[0]))):
+        flat = list(chain.from_iterable(obj))
+        # types first: in a set of values a bool would hide behind an equal int
+        if {int, float, str}.issuperset(map(type, flat)):
+            try:
+                for v in set(flat):
+                    MaxPlusScalar.from_json(v)
+            except ValueError:
+                pass
+            else:
+                # float() reads each accepted scalar as from_json does, "-inf" included
+                return list(zip(*[map(float, flat)] * len(obj[0]))), len(obj[0])
+    M = TropMatrix.from_json(obj, dim)
+    return [c.sort_key() for c in M.columns], M.dim
 
 
 def combine(M: TropMatrix, lambdas: Sequence[MaxPlusScalar]) -> TropVector:

@@ -127,6 +127,36 @@ class TestExtremeGenerator:
                 answers.add(answer)
         assert answers == {True, False}
 
+    @pytest.mark.parametrize("kind", ["integer", "-inf"])
+    def test_every_index_in_any_order(self, kind):
+        """One cone asked every index in a shuffled order, and then again,
+        before or after its basis is built, answers as a fresh cone per
+        index and as ``extract_basis``: no duplicate ray, a basis ray."""
+        rng = random.Random(f"ray index:{kind}")
+        answers = set()
+        for r in range(160):
+            if r % 4:
+                n = rng.randint(1, 5)
+                gens = corpus_vectors(rng, n, kind)
+                gens += [rng.choice(gens).scale(corpus_coeff(rng, kind)) for _ in range(2)]
+                C = Cone.from_vectors(gens)
+            else:
+                neg = 0.1 if kind == "integer" else 0.5
+                units = gen.cone(rng, 6, 30, duplicates=0.25, combinations=0.25, neg=neg)
+                C = Cone.from_json(json.loads(gen.cone_text(units, 1)))
+            if rng.random() < 0.5:
+                C.extract_basis()
+            order = rng.sample(range(C.ngens), C.ngens)
+            got = [C.is_extreme_generator(k) for k in order + order]
+            rays = list(map(normalized, C.generators))
+            basis = list(Cone(C.generators).extract_basis().generators)
+            expected = [rays.count(rays[k]) == 1 and rays[k] in basis for k in order]
+            assert got == expected * 2
+            fresh = [Cone(C.generators).is_extreme_generator(k) for k in order]
+            assert fresh == expected
+            answers.update(got)
+        assert answers == {True, False}
+
     @pytest.mark.parametrize("k", [1.0, True, False, "0", None])
     def test_index_must_be_an_int(self, k):
         # True would otherwise read as generator 1, and 1.0 fail inside the row lookup
