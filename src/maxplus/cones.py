@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import chain
@@ -52,9 +53,10 @@ class ConeDecomposition(Record):
 def _row(coords: tuple) -> tuple:
     """The generator row of ``sort_key()`` coordinates: (the bitmask of the
     finite ones, their (i, g_i))."""
+    if -math.inf not in coords:
+        return (1 << len(coords)) - 1, tuple(enumerate(coords))
     pairs = tuple([pair for pair in enumerate(coords) if pair[1] != -math.inf])
-    mask = (1 << len(pairs)) - 1 if len(pairs) == len(coords) else sum([1 << i for i, _ in pairs])
-    return mask, pairs
+    return sum([1 << i for i, _ in pairs]), pairs
 
 
 # The exact domain: every finite value is an integral float of size at most
@@ -78,18 +80,21 @@ def _ray(coords: tuple) -> tuple:
 
 class _Rows(list):
     """A table of ``_row`` values, with whether every value in it is in the
-    exact domain."""
+    exact domain; one of rays in it keeps its ``columns`` and, in ``orders``,
+    each column's row indices by ascending value, sorted when first read."""
 
-    __slots__ = ("exact",)
+    __slots__ = ("exact", "columns", "orders")
 
-    def __init__(self, rows, exact: bool):
+    def __init__(self, rows, exact: bool, columns=None):
         super().__init__(rows)
-        self.exact = exact
+        self.exact, self.columns = exact, columns
+        self.orders = [None] * len(columns or ())
 
 
-def _table(coords: list) -> _Rows:
-    """The ``_row`` of each of the ``sort_key()`` coordinates, flagged."""
-    return _Rows(map(_row, coords), _exact(chain.from_iterable(coords)))
+def _table(coords: list, rays: bool = False) -> _Rows:
+    """The ``_row`` of each of the ``sort_key()`` coordinates, flagged; ``rays`` keep columns."""
+    exact = _exact(chain.from_iterable(coords))
+    return _Rows(map(_row, coords), exact, list(zip(*coords)) if rays and exact else None)
 
 
 def _covered(rows: _Rows, x: tuple, skip: int | None = None) -> bool:
@@ -99,13 +104,17 @@ def _covered(rows: _Rows, x: tuple, skip: int | None = None) -> bool:
     The answer is that of ``project(M, x) == x`` for M the rows taken.  When
     the rows and x are in the exact domain (``_EXACT_LIMIT``: integer input
     of size at most 2**51) that answer is exact, and ``_covered_exact``
-    decides it in one pass.  Any other input (a
-    one-decimal value, an integer above 2**51, a near-overflow value) takes
-    ``_covered_float``, which repeats ``project``'s float operations,
-    rounding included.  The table was flagged when it was built; x is
-    checked here, on its n values, while its finite coordinates are
-    collected.
+    decides it; on a table of rays it prunes, as a ray g attains x_i only if
+    g_i >= x_i.  Any other input (a one-decimal value, an integer above
+    2**51, a near-overflow value) takes ``_covered_float``, which repeats
+    ``project``'s float operations, rounding included, on every row.  The
+    table was flagged when it was built; x is checked here, on its n values,
+    while its finite coordinates are collected.  A table of rays is asked
+    only about its own ray ``skip`` (``Cone._verdict``), whose finite
+    coordinates are that row's.
     """
+    if rows.columns:
+        return _covered_exact(rows, x, rows[skip][0], skip)
     if rows.exact:
         need = 0  # the finite coordinates of x, as a bitmask
         for i, xi in enumerate(x):
@@ -124,22 +133,42 @@ def _covered_exact(rows: _Rows, x: tuple, need: int, skip: int | None) -> bool:
     x is covered when every finite x_i (the bits of ``need``) is attained,
     lam + g_i == x_i, by some row.  A row finite where x is not (a -inf
     difference) adds nothing, so its pairs are not read.
+
+    A table of rays prunes, as its rows and x have maximum 0: g attains x_i
+    only if g_i >= x_i, because lam <= x_l - g_l = x_l <= 0 at l = argmax g.
+    A top coordinate of x is read first, then the lowest one not yet
+    attained; each scans only its rows with g_i >= x_i, a suffix of
+    ``orders[i]`` found by bisection, and if none attains it, it witnesses
+    that x is not covered.  Other tables take all rows in one scan.
     """
-    got, outside = 0, ~need
-    for k, (support, row) in enumerate(rows):
-        if got == need:
-            return True
-        if support & outside or k == skip:
-            continue
-        lam, hit = math.inf, 0
-        for i, gi in row:
-            d = x[i] - gi
-            if d < lam:
-                lam, hit = d, 1 << i
-            elif d == lam:
-                hit |= 1 << i
-        got |= hit
-    return got == need
+    got, outside, columns, orders = 0, ~need, rows.columns, rows.orders
+    i = x.index(0.0) if columns else -1
+    while got != need:
+        if not columns:
+            pairs, want = enumerate(rows), need
+        else:
+            if orders[i] is None:
+                orders[i] = sorted(range(len(rows)), key=columns[i].__getitem__)
+            ks = orders[i][bisect_left(orders[i], x[i], key=columns[i].__getitem__):]
+            pairs, want = zip(ks, map(rows.__getitem__, ks)), 1 << i
+        for k, (support, row) in pairs:
+            if support & outside or k == skip:
+                continue
+            lam, hit = math.inf, 0
+            for j, gj in row:
+                d = x[j] - gj
+                if d < lam:
+                    lam, hit = d, 1 << j
+                elif d == lam:
+                    hit |= 1 << j
+            got |= hit
+            if got & want == want:
+                break
+        else:
+            return False
+        rest = need & ~got
+        i = (rest & -rest).bit_length() - 1
+    return True
 
 
 def _covered_float(rows: list, x: tuple, skip: int | None) -> bool:
@@ -180,8 +209,10 @@ class Cone:
     rows serve membership; every extremality answer reads one verdict per
     distinct ray (``_verdict``), computed the first time a query reads it
     and then kept.  On integer input of size at most 2**51 (the exact domain
-    of ``_covered``) every removal test runs in exact arithmetic; any other
-    input takes the loop of ``project``'s float operations.
+    of ``_covered``) every removal test runs in exact arithmetic, and a verdict
+    reads, per coordinate x_i of its ray, only the rays g with g_i >= x_i (the
+    only ones that can attain it); any other input takes the loop of
+    ``project``'s float operations over every ray.
     """
 
     def __init__(self, generators: TropMatrix):
@@ -285,7 +316,7 @@ class Cone:
             for idx, g in enumerate(self._coords):
                 seen.setdefault(_ray(g), idx)
             norms = sorted(seen)
-            self._rays = norms, [seen[norm] for norm in norms], _table(norms)
+            self._rays = norms, [seen[norm] for norm in norms], _table(norms, rays=True)
             self._verdicts = [None] * len(norms)
         return self._rays
 
@@ -352,7 +383,7 @@ class Cone:
                 if target[i] - gi < lam:
                     lam = target[i] - gi
             lams.append(lam)
-            rows.append(tuple(lam + gi for gi in coords[idx]))
+            rows.append(tuple(map(lam.__add__, coords[idx])))
 
         selected: list[int] = []
         for i, xi in enumerate(target):

@@ -2,25 +2,30 @@
 
 from __future__ import annotations
 
+import math
+from operator import add
+
 from .convex_sets import ConvexSet
 from .linalg import DimensionMismatch, Record, TropVector
-from .semiring import MaxPlusScalar, ZERO, _check_tolerance
+from .semiring import MaxPlusScalar, _check_tolerance
 
 
 _OVERFLOW = "the half-space form overflows a float"
 
 
+def _form(coeffs: tuple, x: tuple) -> float:
+    """max_i (coeffs_i + x_i) on ``sort_key()`` floats; ValueError if a term overflows a float."""
+    if len(coeffs) != len(x):
+        raise DimensionMismatch(f"dim {len(coeffs)} vs {len(x)}")
+    value = max(map(add, coeffs, x))
+    if value == math.inf:
+        raise ValueError(_OVERFLOW)
+    return value
+
+
 def eval_form(coeffs: TropVector, x: TropVector) -> MaxPlusScalar:
     """Max-plus linear form: max_i (coeffs_i + x_i); ValueError if a term overflows a float."""
-    if coeffs.dim != x.dim:
-        raise DimensionMismatch(f"dim {coeffs.dim} vs {x.dim}")
-    out = ZERO
-    try:
-        for a, v in zip(coeffs, x):
-            out = out + a * v
-    except ValueError:
-        raise ValueError(_OVERFLOW) from None
-    return out
+    return MaxPlusScalar(_form(coeffs.sort_key(), x.sort_key()))
 
 
 def _check_side(side: str) -> None:
@@ -48,29 +53,34 @@ class HalfSpace(Record):
         return self.plus_coeffs.dim
 
     def contains(self, x: TropVector, side: str, tolerance: float = 0.0) -> bool:
-        return self._holds(x, self.plus_const, self.minus_const, side, tolerance)
+        return self._holds([x.sort_key()], 1, side, tolerance)
 
     def contains_ray(self, r: TropVector, side: str, tolerance: float = 0.0) -> bool:
         """Homogeneous inequality for a recession direction (constants drop)."""
-        return self._holds(r, ZERO, ZERO, side, tolerance)
+        return self._holds([r.sort_key()], 0, side, tolerance)
 
-    def _holds(self, x: TropVector, plus_const: MaxPlusScalar, minus_const: MaxPlusScalar,
-               side: str, tolerance: float) -> bool:
-        """The chosen side's inequality at x, its larger side raised by tolerance
-        (a -inf stays -inf); ValueError when the tolerance is negative, NaN or
-        infinite."""
+    def _holds(self, rows: list, npoints: int, side: str, tolerance: float) -> bool:
+        """Whether the chosen side holds at each ``sort_key()`` row in turn, the
+        first ``npoints`` points and the rest rays (constants drop), its larger
+        side raised by tolerance (a -inf stays -inf); ValueError when the
+        tolerance is negative, NaN or infinite."""
         _check_side(side)
-        lhs = eval_form(self.plus_coeffs, x) + plus_const
-        rhs = eval_form(self.minus_coeffs, x) + minus_const
-        if side == "minus":
-            lhs, rhs = rhs, lhs
-        if tolerance:
-            _check_tolerance(tolerance)
-            try:
-                lhs = lhs * MaxPlusScalar(tolerance)
-            except ValueError:
-                raise ValueError(_OVERFLOW) from None
-        return lhs >= rhs
+        plus, minus = self.plus_coeffs.sort_key(), self.minus_coeffs.sort_key()
+        plus_const, minus_const = self.plus_const.as_float(), self.minus_const.as_float()
+        for k, x in enumerate(rows):
+            lhs, rhs = _form(plus, x), _form(minus, x)
+            if k < npoints:
+                lhs, rhs = max(lhs, plus_const), max(rhs, minus_const)
+            if side == "minus":
+                lhs, rhs = rhs, lhs
+            if tolerance:
+                _check_tolerance(tolerance)
+                lhs += tolerance
+                if lhs == math.inf:
+                    raise ValueError(_OVERFLOW)
+            if lhs < rhs:
+                return False
+        return True
 
     def contains_set(self, A: ConvexSet, side: str, tolerance: float = 0.0) -> bool:
         """Whether the whole V-represented set lies in the chosen side.
@@ -84,9 +94,7 @@ class HalfSpace(Record):
         """
         if A.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {A.dim}")
-        if not all(self.contains(p, side, tolerance) for p in A.points):
-            return False
-        return all(self.contains_ray(r, side, tolerance) for r in A.rays)
+        return self._holds(A._rows, A._npoints, side, tolerance)
 
     def to_json(self) -> dict:
         return {

@@ -116,7 +116,7 @@ def render_set_svg(A: ConvexSet, grid: int = 200) -> str:
     if A.dim != 2:
         raise ValueError(f"rendering needs a 2-dimensional set, got dim {A.dim}")
     if any(MAX_COORD < abs(c) < math.inf for v in (*A.points, *A.rays) for c in v.sort_key()):
-        raise ValueError("set is too large to render: its frame overflows a float")
+        raise ValueError("set is too large to render: a finite coordinate is above 2**51 in size")
     frame = _Frame(A)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

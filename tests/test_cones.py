@@ -7,6 +7,7 @@ import pytest
 from maxplus import cones as cones_module
 from maxplus import (
     Cone,
+    ConvexSet,
     DimensionMismatch,
     MaxPlusScalar,
     NotMember,
@@ -370,6 +371,110 @@ class TestExactForm:
         del forms[:]
         assert tenths._covers(vec(2, 1)) == tenths.member(vec(2, 1))
         assert forms == ["float"]
+
+
+def _edge_units(rng, n, m, neg):
+    """``gen.cone``'s shape (a quarter scaled duplicates, a quarter max-plus
+    combinations) on base rays of which about one in three has a coordinate
+    at +-2**51 or +-(2**51 - 1) next to small ones."""
+    edge = [2**51, -(2**51), 2**51 - 1, 1 - 2**51]
+    base = [gen.vector(rng, n, 1, neg) for _ in range(max(1, m // 2))]
+    for k, g in enumerate(base):
+        finite = [i for i, u in enumerate(g) if u is not None]
+        if rng.random() < 0.35:
+            i = rng.choice(finite)
+            base[k] = g[:i] + (rng.choice(edge),) + g[i + 1:]
+    units = list(base)
+    for _ in range(m // 4):
+        g, lam = rng.choice(base), rng.randint(-3, 3)
+        units.append(tuple(None if u is None else u + lam for u in g))
+    while len(units) < m:
+        picks = rng.sample(base, min(len(base), rng.randint(2, 3)))
+        units.append(gen.join(tuple(None if u is None else u + rng.randint(-5, 5) for u in g)
+                              for g in picks))
+    rng.shuffle(units)
+    return units
+
+
+def _ray_units(g) -> tuple:
+    """The exact ray of a nonzero generator in units: shifted to maximum 0."""
+    top = max(u for u in g if u is not None)
+    return tuple(None if u is None else u - top for u in g)
+
+
+def _oracle_extreme_rays(units) -> set:
+    """The distinct rays of the generators that no other distinct ray
+    covers, by the exact oracle."""
+    rays = list(dict.fromkeys(map(_ray_units, units)))
+    return {r for k, r in enumerate(rays) if not oracle.cone_member(rays[:k] + rays[k + 1:], r)}
+
+
+class TestPrunedVerdicts:
+    """Every extremality answer on exact input reads the pruned removal
+    test; each is judged here by the exact oracle through the public API."""
+
+    CASES = [(n, m) for n in (2, 3, 4, 6, 8, 10) for m in (1, 2, 5, 12, 30, 60)] + [
+        (6, 300), (10, 300)
+    ]
+
+    @pytest.mark.parametrize("shape", ["gen", "edge"])
+    def test_basis_and_extreme_generators_match_the_oracle(self, shape):
+        rng = random.Random(f"pruned verdicts:{shape}")
+        answers = set()
+        for n, m in self.CASES:
+            neg = rng.choice([0.0, 0.1, 0.4])
+            if shape == "gen":
+                units = gen.cone(rng, n, m, duplicates=0.25, combinations=0.25, neg=neg)
+            else:
+                units = _edge_units(rng, n, m, neg)
+            C = Cone.from_json(json.loads(gen.cone_text(units, 1)))
+            extreme = _oracle_extreme_rays(units)
+            basis = [oracle.vec(g) for g in C.extract_basis().to_json()["generators"]]
+            assert len(basis) == len(set(basis)) and set(basis) == extreme, (n, m)
+            rays = list(map(_ray_units, units))
+            for k in rng.sample(range(m), min(m, 40)):
+                answer = C.is_extreme_generator(k)
+                assert answer == (rays.count(rays[k]) == 1 and rays[k] in extreme)
+                answers.add(answer)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("shape", ["gen", "edge"])
+    def test_extreme_points_match_the_oracle(self, shape):
+        rng = random.Random(f"pruned extreme points:{shape}")
+        sizes = set()
+        for n, m in self.CASES[:-2]:
+            neg = rng.choice([0.0, 0.1, 0.4])
+            if shape == "gen":
+                points, rays = gen.convex_set(rng, n, m, m // 5, combinations=0.25, neg=neg)
+            else:
+                units = _edge_units(rng, n, m + m // 5, neg)
+                points, rays = units[:m], units[m:]
+            A = ConvexSet.from_json(json.loads(gen.set_text(points, rays, 1)))
+            got = [oracle.vec(p.to_json()) for p in A.extreme_points()]
+            expected = set(oracle.extreme_points(points, rays))
+            assert len(got) == len(set(got)) and set(got) == expected, (n, m)
+            sizes.add(len(expected) < len(set(points)))
+        assert sizes == {True, False}
+
+    def test_the_only_attaining_ray_sits_at_the_bound(self):
+        """A ray g can attain coordinate i of a target ray x only when
+        g_i >= x_i; here the one ray that attains a coordinate has g_i == x_i
+        exactly, so the bound is inclusive."""
+        # (0, -2) = max((0, -3), (-1, 0) - 2): only (0, -3) attains
+        # coordinate 0, where its value 0 is the target's own
+        C = cone((0, -3), (-1, 0), (0, -2))
+        assert [C.is_extreme_generator(k) for k in range(3)] == [True, True, False]
+        assert C.extract_basis().to_json() == {"generators": [[-1, 0], [0, -3]]}
+        # (0, -2, -5) = max((0, -2, -7), (-9, -9, 0) - 5): only (0, -2, -7)
+        # attains coordinate 1, where its value -2 is the target's own
+        C = cone((-9, -9, 0), (0, -2, -5), (0, -2, -7), (3, 0, -4))
+        assert [C.is_extreme_generator(k) for k in range(4)] == [True, False, True, True]
+        assert C.extract_basis().ngens == 3
+        for C in (cone((0, -3), (-1, 0), (0, -2)),
+                  cone((-9, -9, 0), (0, -2, -5), (0, -2, -7), (3, 0, -4))):
+            units = [oracle.vec(g.to_json()) for g in C.generators]
+            basis = [oracle.vec(g) for g in C.extract_basis().to_json()["generators"]]
+            assert set(basis) == _oracle_extreme_rays(units)
 
 
 class TestDecompose:

@@ -169,6 +169,41 @@ class TestContainsSet:
         assert H.contains_set(A, "plus", 1)
         assert H.contains_set(ConvexSet.from_vectors([vec(0, 0)], [vec(0.5, 0)]), "minus", 1)
 
+    def test_matches_the_per_row_checks(self):
+        """contains_set reads the set's own float rows: it answers, and
+        refuses, as contains on each point and then contains_ray on each
+        ray, stopping at the first that fails."""
+        def answer(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return str(exc)
+
+        def per_row(H, A, side, tolerance):
+            return (all(H.contains(p, side, tolerance) for p in A.points)
+                    and all(H.contains_ray(r, side, tolerance) for r in A.rays))
+
+        def scalar(rng):
+            return rng.choice([rng.randint(-3, 3), "-inf", 1e308])
+
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            A = ConvexSet.from_json({
+                "points": [[scalar(rng) for _ in range(n)] for _ in range(rng.randint(1, 5))],
+                "rays": [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))],
+            })
+            H = HalfSpace(TropVector.from_json([scalar(rng) for _ in range(n)]), MaxPlusScalar(0),
+                          TropVector.from_json([scalar(rng) for _ in range(n)]),
+                          MaxPlusScalar.from_json(rng.choice([-2, "-inf"])))
+            for side in ("plus", "minus"):
+                for tolerance in (0, 0.5, 2, 1.7e308):
+                    got = answer(lambda: H.contains_set(A, side, tolerance))
+                    assert got == answer(lambda: per_row(H, A, side, tolerance))
+                    seen.add(got)
+        assert seen == {True, False, "the half-space form overflows a float"}
+
     def test_exactness_by_sampling(self):
         # sound: a True answer holds at sampled members; complete: a False
         # answer has a violating member, a failing point or a point far out
