@@ -8,7 +8,7 @@ from functools import cached_property
 
 from .cones import Cone, NotMember, cones_equal
 from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, _read_rows
-from .semiring import ONE, MaxPlusScalar, _floats_to_json
+from .semiring import MaxPlusScalar, _floats_to_json
 
 
 class SetDecomposition(Record):
@@ -108,7 +108,7 @@ class ConvexSet:
         """(x, 0): the point x in the dimension of the homogenization."""
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
-        return TropVector((*x, ONE))
+        return TropVector._of_floats(x.sort_key() + (0.0,))
 
     def member(self, x: TropVector) -> bool:
         return self.homogenize()._covers(self.lift(x))
@@ -149,10 +149,8 @@ class ConvexSet:
         try:
             cone_dec = cone.decompose(lifted_x)
         except NotMember as exc:
-            raise NotMember(
-                "vector is not a member of the convex set",
-                TropVector(list(exc.projection)[: self.dim]),
-            ) from None
+            raise NotMember("vector is not a member of the convex set",
+                            TropVector._of_floats(exc.projection.sort_key()[: self.dim])) from None
         p, terms = self._npoints, cone_dec.terms
         point_terms = tuple((k, coeff) for k, coeff in terms if k < p)
         ray_terms = tuple((k - p, coeff) for k, coeff in terms if k >= p)
@@ -168,9 +166,8 @@ class ConvexSet:
         """
         if not self.member(x):
             projection = self.homogenize().project(self.lift(x))
-            raise NotMember(
-                "vector is not a member of the convex set", TropVector(list(projection)[: self.dim])
-            )
+            raise NotMember("vector is not a member of the convex set",
+                            TropVector._of_floats(projection.sort_key()[: self.dim]))
         return x in self.extreme_points()
 
     def to_json(self) -> dict:

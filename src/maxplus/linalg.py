@@ -44,9 +44,10 @@ class Record:
 
 
 class TropVector:
-    """Immutable coordinate vector over MaxPlusScalar."""
+    """Immutable max-plus vector: it holds its float coordinates (-inf for the zero),
+    its ``sort_key()``, and builds the MaxPlusScalar of a coordinate when it is read."""
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_key",)
 
     def __init__(self, coords: Iterable[MaxPlusScalar]):
         cs = tuple(coords)
@@ -55,7 +56,7 @@ class TropVector:
         for c in cs:
             if not isinstance(c, MaxPlusScalar):
                 raise TypeError(f"coordinates must be MaxPlusScalar, got {c!r}")
-        self._coords = cs
+        self._key = tuple([c._value for c in cs])
 
     @classmethod
     def of(cls, *values) -> "TropVector":
@@ -64,60 +65,67 @@ class TropVector:
 
     @classmethod
     def _of_floats(cls, coords: tuple) -> "TropVector":
-        """The vector of checked ``sort_key()`` coordinates, built unchecked."""
+        """The vector of a checked ``sort_key()`` tuple, which it keeps."""
         v = _new(cls)
-        v._coords = tuple(map(_scalar, coords))
+        v._key = coords
         return v
 
     @classmethod
     def zero(cls, dim: int) -> "TropVector":
-        return cls([ZERO] * dim)
+        if dim < 1:
+            raise ValueError("vector dimension must be at least 1")
+        return cls._of_floats((-math.inf,) * dim)
 
     @property
     def dim(self) -> int:
-        return len(self._coords)
+        return len(self._key)
 
     def __len__(self) -> int:
-        return len(self._coords)
+        return len(self._key)
 
     def __iter__(self):
-        return iter(self._coords)
+        return map(_scalar, self._key)
 
     def __getitem__(self, i: int) -> MaxPlusScalar:
-        return self._coords[i]
+        if isinstance(i, slice):
+            return tuple(map(_scalar, self._key[i]))
+        return _scalar(self._key[i])
 
     def join(self, other: "TropVector") -> "TropVector":
         """Pointwise max (vector semiring addition)."""
         if other.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        return TropVector(a + b for a, b in zip(self._coords, other._coords))
+        return TropVector._of_floats(tuple(map(max, self._key, other._key)))
 
     def scale(self, lam: MaxPlusScalar) -> "TropVector":
-        return TropVector(lam * c for c in self._coords)
+        """lam + each coordinate; a sum that overflows to -inf is the zero."""
+        key = tuple([lam._value + c for c in self._key])
+        if math.inf in key:
+            raise ValueError("max-plus scalar must be finite or -inf, got inf")
+        return TropVector._of_floats(key)
 
     @property
     def is_zero_vector(self) -> bool:
-        return all(c.is_zero for c in self._coords)
+        return max(self._key) == -math.inf
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TropVector):
             return NotImplemented
-        return self._coords == other._coords
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._coords)
+        return hash(self._key)
 
     def sort_key(self) -> tuple:
         """Lexicographic key with -inf below every finite value."""
-        return tuple(c.as_float() for c in self._coords)
+        return self._key
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{c.as_float():g}" for c in self._coords)
-        return f"TropVector({inner})"
+        return f"TropVector({', '.join(f'{c:g}' for c in self._key)})"
 
     def to_json(self) -> list:
-        """The coordinates by the one rule of ``_floats_to_json``, in one pass."""
-        return _floats_to_json(c._value for c in self._coords)
+        """The coordinates by the one rule of ``_floats_to_json``."""
+        return _floats_to_json(self._key)
 
     @classmethod
     def from_json(cls, obj) -> "TropVector":

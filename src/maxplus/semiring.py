@@ -10,23 +10,27 @@ _NEG_INF = -math.inf
 class MaxPlusScalar:
     """An element of R u {-inf} with addition max and multiplication +.
 
-    The value is a float and the additive zero is -inf.  +inf and NaN are
-    refused at construction, so max and + never meet -inf + inf and never
-    make NaN; so is an int that no float holds exactly (2**53 + 1), which
-    would be rounded.  Instances are immutable and hashable.
+    The value is a float and the additive zero is -inf (also read from "-inf").
+    +inf and NaN are refused at construction, so max and + never meet -inf + inf
+    and never make NaN; so are a bool (TypeError) and any value that float()
+    would change (2**53 + 1, Fraction(1, 3)).  Instances are immutable and hashable.
     """
 
     __slots__ = ("_value",)
 
     def __init__(self, value: int | float = _NEG_INF):
+        if isinstance(value, bool):
+            raise TypeError(f"max-plus scalar must be a number, got {value!r}")
         try:
             v = float(value)
         except OverflowError as exc:
             raise ValueError("max-plus scalar is too large for a float") from exc
         if not v < math.inf:  # +inf or NaN
             raise ValueError(f"max-plus scalar must be finite or -inf, got {value!r}")
-        if v != value and isinstance(value, int):
-            raise ValueError(f"max-plus scalar {value} is an integer that no float holds exactly")
+        if v != value and value != "-inf":
+            if isinstance(value, int):
+                raise ValueError(f"max-plus scalar {value} is an integer that no float holds exactly")
+            raise ValueError(f"max-plus scalar {value!r} is not exactly a float")
         self._value = v
 
     @property

@@ -2,7 +2,8 @@
 
 ``Cone.from_json`` and ``ConvexSet.from_json`` read a document straight into
 float rows; ``Cone(TropMatrix.from_json(...))`` and ``ConvexSet(points,
-rays)`` build a vector of scalars per column first.  Both routes must give
+rays)`` build a vector per column first, each coordinate checked as a
+``MaxPlusScalar``.  Both routes must give
 the same answers, and a malformed document the same refusal.
 """
 
@@ -11,7 +12,7 @@ import random
 
 import pytest
 
-from maxplus import Cone, ConvexSet, MaxPlusScalar, TropMatrix, TropVector
+from maxplus import Cone, ConvexSet, DimensionMismatch, MaxPlusScalar, TropMatrix, TropVector
 
 from util import CORPORA, corpus_coeff, corpus_vectors, outcome
 
@@ -118,3 +119,9 @@ def test_mixed_dimensions_one_message():
     assert _geometry_messages(rows, []) == {"columns have mixed dimensions"}
     # a bad scalar after the mismatch is still read first
     assert _geometry_messages(rows, [[True, 0]]) == {_message(lambda: MaxPlusScalar.from_json(True))}
+
+
+def test_rays_of_another_dimension_refused():
+    points = TropMatrix([TropVector.of(0, 1)])
+    with pytest.raises(DimensionMismatch, match="^points dim 2 vs rays dim 3$"):
+        ConvexSet(points, TropMatrix([TropVector.of(0, 1, 2)]))

@@ -70,6 +70,10 @@ class TestLeftResidual:
         assert r[0] == math.inf
         assert r[1] == 1
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):
+            left_residual(mat((0, 1)), vec(0, 1, 2))
+
 
 class TestProject:
     def test_member_is_fixed(self):
@@ -126,6 +130,54 @@ class TestVector:
             # the vector's one-pass encoding is its scalars', type included
             typed = [(type(e), e) for e in v.to_json()]
             assert typed == [(type(e), e) for e in (c.to_json() for c in v)]
+
+
+    def test_coordinates_must_be_scalars(self):
+        with pytest.raises(TypeError, match="^coordinates must be MaxPlusScalar, got 1$"):
+            TropVector([1, 2])
+
+    def test_coordinates_read_as_scalars(self):
+        v = vec(1, "-inf", -2.5)
+        assert v[0] == MaxPlusScalar(1) and v[-1] == MaxPlusScalar(-2.5) and v[1] == ZERO
+        assert v[1:] == (ZERO, MaxPlusScalar(-2.5))
+        assert list(v) == [MaxPlusScalar(1), ZERO, MaxPlusScalar(-2.5)]
+        assert {type(c) for c in (*v[1:], *v, v[0])} == {MaxPlusScalar}
+        with pytest.raises(IndexError):
+            v[3]
+
+    def test_equal_to_the_vector_of_its_scalars(self):
+        v = vec(1, "-inf", -2.5)
+        w = TropVector([MaxPlusScalar(1), ZERO, MaxPlusScalar(-2.5)])
+        assert v == w and hash(v) == hash(w) and TropVector(v) == v
+        assert v != vec(1, "-inf", -2) and v != (1.0, -math.inf, -2.5)
+        # -0.0 and 0.0 are one scalar, so one vector
+        assert vec(-0.0, 1) == vec(0, 1) and hash(vec(-0.0, 1)) == hash(vec(0, 1))
+
+    def test_repr_and_sort_key(self):
+        v = vec(1, "-inf", -2.5)
+        assert repr(v) == "TropVector(1, -inf, -2.5)"
+        assert v.sort_key() is v.sort_key()
+        typed = [(type(c), c) for c in v.sort_key()]
+        assert typed == [(float, 1), (float, -math.inf), (float, -2.5)]
+
+    def test_scale(self):
+        assert vec(1, "-inf").scale(MaxPlusScalar(2)) == vec(3, "-inf")
+        assert vec(1, 2).scale(ZERO).is_zero_vector
+        # a sum that overflows to -inf is the zero, one that overflows to +inf is refused
+        assert vec(-1e308, 0).scale(MaxPlusScalar(-1e308)) == vec("-inf", -1e308)
+        with pytest.raises(ValueError, match="^max-plus scalar must be finite or -inf, got inf$"):
+            vec(1e308, 0).scale(MaxPlusScalar(1e308))
+
+    def test_join(self):
+        assert vec(1, "-inf", 0).join(vec(0, 2, "-inf")) == vec(1, 2, 0)
+        with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):
+            vec(1, 2).join(vec(1, 2, 3))
+
+    def test_zero(self):
+        assert TropVector.zero(2) == vec("-inf", "-inf") and TropVector.zero(2).is_zero_vector
+        assert not vec("-inf", 0).is_zero_vector
+        with pytest.raises(ValueError, match="^vector dimension must be at least 1$"):
+            TropVector.zero(0)
 
 
 class TestMatrix:

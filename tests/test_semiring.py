@@ -1,6 +1,9 @@
 import json
 import math
 import random
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +106,35 @@ class TestConstruction:
         with pytest.raises(TypeError):
             MaxPlusScalar(None)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_a_scalar(self, value):
+        # as from_json refuses a JSON true: it is not the number 1
+        with pytest.raises(TypeError, match=f"^max-plus scalar must be a number, got {value}$"):
+            MaxPlusScalar(value)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(1, 3), Decimal("0.1"), Fraction(2**53 + 1), Decimal(2**53 + 1)]
+    )
+    def test_rejects_a_value_float_would_round(self, value):
+        message = f"^max-plus scalar {re.escape(repr(value))} is not exactly a float$"
+        with pytest.raises(ValueError, match=message):
+            MaxPlusScalar(value)
+
+    @pytest.mark.parametrize("value", ["3", "0", "-Infinity", " -inf", "-INF", "-1e400"])
+    def test_rejects_a_string_other_than_neg_inf(self, value):
+        message = f"^max-plus scalar {re.escape(repr(value))} is not exactly a float$"
+        with pytest.raises(ValueError, match=message):
+            MaxPlusScalar(value)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(Fraction(1, 2), 0.5), (Decimal("-2.25"), -2.25), (Fraction(2**53), 2.0**53),
+         ("-inf", -math.inf)],
+    )
+    def test_keeps_a_value_that_converts_exactly(self, value, expected):
+        assert MaxPlusScalar(value) == MaxPlusScalar(expected)
+        assert type(MaxPlusScalar(value).as_float()) is float
+
 
 class TestOrder:
     def test_order_via_add(self):
@@ -114,6 +146,13 @@ class TestOrder:
 
     def test_zero_is_bottom(self):
         assert ZERO <= s(-1000)
+
+    def test_comparisons_follow_the_values(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            a, b = rand(rng), rand(rng)
+            x, y = a.as_float(), b.as_float()
+            assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
 
 
 def rand(rng):
