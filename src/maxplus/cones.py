@@ -97,21 +97,45 @@ def _table(coords: list, rays: bool = False) -> _Rows:
     return _Rows(map(_row, coords), exact, list(zip(*coords)) if rays and exact else None)
 
 
+def _project(rows: list, x: tuple, skip: int | None = None) -> tuple[list, tuple]:
+    """(lams, cover) by the float operations of ``project``, rounding
+    included: lams[k] = min over row k's pairs of x_i - g_i, and the cover,
+    the projection of x, is the max of lam + g_i over the rows.  A row whose
+    lam is not finite (-inf: g is finite where x is not; +inf: overflow,
+    which ``project`` clamps), and ``rows[skip]``, add nothing."""
+    cover, lams = [-math.inf] * len(x), []
+    for k, (_, row) in enumerate(rows):
+        lam = math.inf
+        for i, gi in row:
+            if x[i] - gi < lam:
+                lam = x[i] - gi
+        lams.append(lam)
+        if k == skip or not math.isfinite(lam):
+            continue
+        for i, gi in row:
+            v = lam + gi
+            if v > cover[i]:
+                cover[i] = v
+    return lams, tuple(cover)
+
+
+def _refusal(message: str, cover: tuple, n: int) -> NotMember:
+    """``NotMember`` carrying the first n coordinates of a ``_project``
+    cover; a cover that overflowed to +inf is refused as ``project`` refuses it."""
+    if math.inf in cover:
+        raise ValueError("max-plus scalar must be finite or -inf, got inf")
+    return NotMember(message, TropVector._of_floats(cover[:n]))
+
+
 def _covered(rows: _Rows, x: tuple, skip: int | None = None) -> bool:
     """Whether the vector with ``sort_key()`` coordinates ``x`` is a max-plus
-    combination of ``rows`` (a ``_table``), leaving out ``rows[skip]``.
-
-    The answer is that of ``project(M, x) == x`` for M the rows taken.  When
-    the rows and x are in the exact domain (``_EXACT_LIMIT``: integer input
-    of size at most 2**51) that answer is exact, and ``_covered_exact``
-    decides it; on a table of rays it prunes, as a ray g attains x_i only if
-    g_i >= x_i.  Any other input (a one-decimal value, an integer above
-    2**51, a near-overflow value) takes ``_covered_float``, which repeats
-    ``project``'s float operations, rounding included, on every row.  The
-    table was flagged when it was built; x is checked here, on its n values,
-    while its finite coordinates are collected.  A table of rays is asked
-    only about its own ray ``skip`` (``Cone._verdict``), whose finite
-    coordinates are that row's.
+    combination of ``rows`` (a ``_table``), leaving out ``rows[skip]``: the
+    answer of ``project(M, x) == x`` for M the rows taken.  In the exact
+    domain (``_EXACT_LIMIT``: integers of size at most 2**51, flagged on the
+    table when it was built and checked on x here) ``_covered_exact`` decides
+    it exactly, pruning on a table of rays, which is asked only about its own
+    ray ``skip`` (``Cone._verdict``).  Elsewhere x is covered when the
+    ``_project`` cover is x.
     """
     if rows.columns:
         return _covered_exact(rows, x, rows[skip][0], skip)
@@ -124,7 +148,7 @@ def _covered(rows: _Rows, x: tuple, skip: int | None = None) -> bool:
                 need |= 1 << i
         else:
             return _covered_exact(rows, x, need, skip)
-    return _covered_float(rows, x, skip)
+    return _project(rows, x, skip)[1] == x
 
 
 def _covered_exact(rows: _Rows, x: tuple, need: int, skip: int | None) -> bool:
@@ -171,32 +195,6 @@ def _covered_exact(rows: _Rows, x: tuple, need: int, skip: int | None) -> bool:
     return True
 
 
-def _covered_float(rows: list, x: tuple, skip: int | None) -> bool:
-    """``_covered`` with the float operations of ``project``: each row g
-    enters at its greatest scale lam = min over its pairs of x_i - g_i,
-    which is -inf when g is finite where x is not; x is covered when these
-    scaled rows reach it on every coordinate.
-    """
-    cover = [-math.inf] * len(x)
-    for k, (_, row) in enumerate(rows):
-        if k == skip:
-            continue
-        lam = math.inf
-        for i, gi in row:
-            if x[i] - gi < lam:
-                lam = x[i] - gi
-        # -inf: g adds nothing; +inf: float overflow, which project clamps
-        if not math.isfinite(lam):
-            continue
-        for i, gi in row:
-            v = lam + gi
-            if v > x[i]:
-                return False
-            if v > cover[i]:
-                cover[i] = v
-    return tuple(cover) == x
-
-
 class Cone:
     """Finitely generated max-plus cone in V-representation.
 
@@ -211,8 +209,8 @@ class Cone:
     and then kept.  On integer input of size at most 2**51 (the exact domain
     of ``_covered``) every removal test runs in exact arithmetic, and a verdict
     reads, per coordinate x_i of its ray, only the rays g with g_i >= x_i (the
-    only ones that can attain it); any other input takes the loop of
-    ``project``'s float operations over every ray.
+    only ones that can attain it); any other input takes the float loop of
+    ``_project`` over every ray.
     """
 
     def __init__(self, generators: TropMatrix):
@@ -354,36 +352,30 @@ class Cone:
     def decompose(self, x: TropVector) -> ConeDecomposition:
         """Write a member as a max-plus sum of at most dim extreme generators.
 
-        Membership is the removal test on the cached generator rows; only a
-        refusal computes the projection, which ``NotMember`` carries.  Each
-        ray not yet known to be covered enters as its generator of smallest
-        original index, scaled by its residual lam = min over finite g_i of
-        x_i - g_i (+inf when g has none), which keeps it below x.  Per finite
-        coordinate of x the first of these in basis order that attains it and
-        is extreme is a term: only these candidates have their verdicts
-        tested, so once all are known only the basis rays are scanned.  Then,
-        in original-index order, a term is dropped when the others still
-        reach x.  Raises ArithmeticError when float rounding leaves a
-        coordinate of a member attained only outside the basis.
+        One ``_project`` pass on the cached generator rows gives membership
+        (the cover is x), a refusal's projection (the cover) and each
+        generator's residual lam, its greatest scale below x.  Each ray not
+        yet known to be covered enters as its generator of smallest original
+        index, scaled by lam.  Per finite coordinate of x the first of these
+        in basis order that attains it and is extreme is a term: only these
+        candidates have their verdicts tested, so once all are known only the
+        basis rays are scanned.  Then, in original-index order, a term is
+        dropped when the others still reach x.  Raises ArithmeticError when
+        float rounding leaves a coordinate of a member attained only outside
+        the basis.
         """
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
         table, coords = self._generator_rows()
         target = x.sort_key()
-        if not _covered(table, target):
-            raise NotMember("vector is not a member of the cone", self.project(x))
+        lams, cover = _project(table, target)
+        if cover != target:
+            raise _refusal("vector is not a member of the cone", cover, self.dim)
 
         origin = self._ray_table()[1]
         live = [j for j, verdict in enumerate(self._verdicts) if verdict is not False]
         indices = [origin[j] for j in live]
-        lams, rows = [], []
-        for idx in indices:
-            lam = math.inf
-            for i, gi in table[idx][1]:
-                if target[i] - gi < lam:
-                    lam = target[i] - gi
-            lams.append(lam)
-            rows.append(tuple(map(lam.__add__, coords[idx])))
+        rows = [tuple(map(lams[idx].__add__, coords[idx])) for idx in indices]
 
         selected: list[int] = []
         for i, xi in enumerate(target):
@@ -404,7 +396,7 @@ class Cone:
             if cover == target:
                 selected = rest
 
-        terms = sorted((indices[k], MaxPlusScalar(lams[k])) for k in selected)
+        terms = sorted((indices[k], MaxPlusScalar(lams[indices[k]])) for k in selected)
         return ConeDecomposition(tuple(terms), x)
 
     def to_json(self) -> dict:

@@ -6,7 +6,7 @@ import math
 import warnings
 from functools import cached_property
 
-from .cones import Cone, NotMember, cones_equal
+from .cones import Cone, NotMember, _project, _refusal, cones_equal
 from .linalg import DimensionMismatch, Record, TropMatrix, TropVector, _read_rows
 from .semiring import MaxPlusScalar, _floats_to_json
 
@@ -162,12 +162,13 @@ class ConvexSet:
         Every extreme point of a finitely generated set is one of its
         points, so a member is extreme when it is in ``extreme_points()``:
         the verdicts of the lifted points' rays.  A non-member is refused
-        with ``NotMember``, which carries the cut projection.
+        with ``NotMember``, which carries the cut ``_project`` cover of the
+        lifted x on the lifted generator rows.
         """
         if not self.member(x):
-            projection = self.homogenize().project(self.lift(x))
-            raise NotMember("vector is not a member of the convex set",
-                            TropVector._of_floats(projection.sort_key()[: self.dim]))
+            rows = self.homogenize()._generator_rows()[0]
+            cover = _project(rows, self.lift(x).sort_key())[1]
+            raise _refusal("vector is not a member of the convex set", cover, self.dim)
         return x in self.extreme_points()
 
     def to_json(self) -> dict:
@@ -178,9 +179,14 @@ class ConvexSet:
     def from_json(cls, obj) -> "ConvexSet":
         if not isinstance(obj, dict) or "points" not in obj:
             raise ValueError("set document must be an object with a \"points\" field")
+        if obj["points"] == []:
+            raise ValueError("a convex set needs at least one point")
         points, dim = _read_rows(obj["points"])
+        rays, rays_dim = _read_rows(obj["rays"]) if obj.get("rays", []) != [] else ([], dim)
+        if rays_dim != dim:
+            raise DimensionMismatch(f"points dim {dim} vs rays dim {rays_dim}")
         convex_set = cls.__new__(cls)
-        convex_set._setup(points, _read_rows(obj.get("rays", []), dim=dim)[0], dim)
+        convex_set._setup(points, rays, dim)
         return convex_set
 
 

@@ -509,6 +509,17 @@ class TestErrors:
         assert code == EXIT_PARSE
         assert "--x" in err and out == ""
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"points": []}, "a convex set needs at least one point"),
+        ({"points": [[0, 1]], "rays": [[0]]}, "points dim 2 vs rays dim 1"),
+    ])
+    def test_set_document_refused_by_the_set_rule(self, capsys, tmp_path, doc, message):
+        f = tmp_path / "set.json"
+        f.write_text(json.dumps(doc))
+        for argv in (["member", "--x", "[0,1]"], ["extreme-points"], ["render", "--grid", "2"]):
+            code, out, err = run(capsys, *argv, "--set", str(f))
+            assert (code, out, err) == (EXIT_PARSE, "", f"error: --set: {message}\n")
+
     @pytest.mark.parametrize("dim", ["2.5", "true"])
     def test_cone_dim_validated(self, capsys, tmp_path, dim):
         f = tmp_path / "dim.json"

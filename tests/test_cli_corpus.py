@@ -17,6 +17,7 @@ it in CHANGES.md with the exact oracle's verdict on the old and new bytes.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -379,8 +380,11 @@ def _outcome(main, argv) -> tuple:
     return code, out.getvalue(), err.getvalue(), err.getvalue().startswith("usage:")
 
 
-def compute_table() -> dict:
-    """The table of the current code, built in a fresh temporary directory."""
+@functools.lru_cache(maxsize=None)
+def calls() -> tuple:
+    """(the documents, and per argv of the corpus (argv, exit code, stdout,
+    stderr, whether argparse wrote them)) of the current code, run once in a
+    fresh temporary directory."""
     from maxplus.cli import main
 
     docs = documents()
@@ -393,18 +397,23 @@ def compute_table() -> dict:
         os.chdir(tmp)
         os.environ["COLUMNS"] = "80"
         try:
-            rows = []
-            for argv in argvs(docs):
-                code, out, err, argparse_wrote = _outcome(main, argv)
-                digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
-                rows.append({"argv": argv, "exit": code,
-                             "sha256": None if argparse_wrote else digest})
+            runs = [(argv, *_outcome(main, argv)) for argv in argvs(docs)]
         finally:
             os.chdir(cwd)
             if columns is None:
                 del os.environ["COLUMNS"]
             else:
                 os.environ["COLUMNS"] = columns
+    return docs, runs
+
+
+def compute_table() -> dict:
+    """The table of the current code."""
+    docs, runs = calls()
+    rows = []
+    for argv, code, out, err, argparse_wrote in runs:
+        digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+        rows.append({"argv": argv, "exit": code, "sha256": None if argparse_wrote else digest})
     documents_sha256 = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
     return {"documents_sha256": documents_sha256, "rows": rows}
 
@@ -436,6 +445,63 @@ def test_table_covers_every_subcommand_and_exit_code():
     assert {r["exit"] for r in rows} == {0, 1, 2, 3}
     # the bytes of most rows are pinned, not only their exit codes
     assert sum(r["sha256"] is None for r in rows) < 40 < len(rows) <= 1000
+
+
+def _integral(value) -> bool:
+    """Whether a document value holds only integers and "-inf" as scalars."""
+    if isinstance(value, list):
+        return all(map(_integral, value))
+    return value == NEG or type(value) is int
+
+
+def _verdict(argv, code, out, docs):
+    """Whether a member or decompose call on an integer or -inf document
+    states the exact oracle's answer: the member flag and projection, a
+    certificate the oracle accepts, or a non-member's refusal with its
+    projection.  None for any other call, and for a refused input (exit 1),
+    of which the oracle has no reading."""
+    import oracle  # on the path under pytest (conftest.py), not in script mode
+
+    if code == 1 or argv[0] not in ("member", "decompose") or "--x" not in argv:
+        return None
+    if "--tolerance" in argv and argv[argv.index("--tolerance") + 1] != "0":
+        return None
+    flag = "--cone" if "--cone" in argv else "--set"
+    name = argv[argv.index(flag) + 1]
+    doc = oracle.load((HERE / name).read_text() if name.startswith("data/") else docs[name])
+    x = oracle.load(argv[argv.index("--x") + 1])
+    parts = [doc["generators"]] if flag == "--cone" else [doc["points"], doc.get("rays", [])]
+    if not all(map(_integral, parts + [x])):
+        return None
+    # the library drops zero generators and zero rays, and indexes what is left
+    nonzero = [v for v in map(oracle.vec, parts[-1]) if set(v) != {oracle.NEG}]
+    if flag == "--cone":
+        gens, target = nonzero, oracle.vec(x)
+    else:
+        points, rays = list(map(oracle.vec, parts[0])), nonzero
+        gens, target = oracle.lift_points(points) + oracle.lift_rays(rays), oracle.vec(x) + (0,)
+    n = len(x)
+    terms = [(k, oracle.coefficient(g, target)) for k, g in enumerate(gens)]
+    projection = oracle.combine(gens, terms, len(target))[:n]
+    member, result = oracle.cone_member(gens, target), json.loads(out) if out else None
+    if argv[0] == "member":
+        return result == {"member": member, "projection": result["projection"]} and (
+            oracle.vec(result["projection"]) == projection)
+    if not member:
+        return code == 2 and result["error"] == "not a member" and (
+            oracle.vec(result["projection"]) == projection)
+    if flag == "--cone":
+        return code == 0 and oracle.cone_certificate_ok(gens, target, result)
+    return code == 0 and oracle.set_certificate_ok(points, rays, target[:n], result)
+
+
+def test_member_and_decompose_rows_state_the_exact_answer():
+    """On integer and -inf documents every member and decompose row states
+    the exact oracle's answer, not only pinned bytes."""
+    docs, runs = calls()
+    verdicts = [(_verdict(argv, code, out, docs), argv) for argv, code, out, _, _ in runs]
+    assert [argv for verdict, argv in verdicts if verdict is False] == []
+    assert sum(verdict is True for verdict, _ in verdicts) >= 100
 
 
 if __name__ == "__main__":

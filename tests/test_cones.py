@@ -289,16 +289,17 @@ def _exact_domain_table(rng, n):
 
 class TestExactForm:
     """The exact form of the removal test, on tables and targets in the
-    exact domain, against the float loop as the reference."""
+    exact domain, against the float projection as the reference: x is
+    covered when the ``_project`` cover is x."""
 
     @pytest.fixture
     def forms(self, monkeypatch):
         """The form of each removal test, in call order."""
         ran = []
-        exact_form, float_form = cones_module._covered_exact, cones_module._covered_float
+        exact_form, float_form = cones_module._covered_exact, cones_module._project
         monkeypatch.setattr(cones_module, "_covered_exact",
                             lambda *args: ran.append("exact") or exact_form(*args))
-        monkeypatch.setattr(cones_module, "_covered_float",
+        monkeypatch.setattr(cones_module, "_project",
                             lambda *args: ran.append("float") or float_form(*args))
         return ran
 
@@ -325,7 +326,8 @@ class TestExactForm:
                     del forms[:]
                     answer = cones_module._covered(rows, x, skip)
                     assert forms == ["exact"]
-                    assert answer == cones_module._covered_float(rows, x, skip), (coords, x, skip)
+                    cover = cones_module._project(rows, x, skip)[1]
+                    assert answer == (cover == x), (coords, x, skip)
                     answers.add(answer)
                     checked += 1
         assert answers == {True, False} and checked > 10_000
@@ -498,6 +500,8 @@ class TestDecompose:
         d = C.decompose(vec(2, 1))
         assert d == C.decompose(vec(2, 1)) and hash(d) == hash(C.decompose(vec(2, 1)))
         assert d != C.decompose(vec(3, 4))
+        # a record equals only a record of its own type, never its fields
+        assert d != (d.terms, d.target) and d != d.terms
         assert repr(d) == (
             "ConeDecomposition(terms=((0, MaxPlusScalar(0)), (1, MaxPlusScalar(0))), "
             "target=TropVector(2, 1))"
@@ -505,11 +509,23 @@ class TestDecompose:
         with pytest.raises(AttributeError):
             d.terms = ()
 
-    def test_non_member_raises_with_projection(self):
+    def test_non_member_raises_with_projection(self, monkeypatch):
+        # the projection is the cover of decompose's own pass, not Cone.project's
+        monkeypatch.setattr(Cone, "project", lambda *args: pytest.fail("Cone.project ran"))
         C = cone((0, 1), (2, 0))
         with pytest.raises(NotMember) as exc:
             C.decompose(vec(3, 0))
         assert exc.value.projection == vec(2, 0)
+
+    def test_overflowing_projection_is_refused_as_project_refuses_it(self):
+        # lam + g_1 rounds past the largest float, so the projection has no
+        # vector: decompose raises what project raises rather than carry +inf
+        g = vec(-1.4167948092289695e308, 8.200263977465088e307)
+        x = vec(3.7862535563277537e307, 1.7976931348623157e308)
+        C, A = Cone.from_vectors([g]), ConvexSet.from_vectors([vec(0, 0)], [g])
+        for call in (C.project, C.decompose, A.decompose, A.is_extreme):
+            with pytest.raises(ValueError, match="^max-plus scalar must be finite or -inf, got inf$"):
+                call(x)
 
     def test_certificate_random(self):
         rng = random.Random(25)
@@ -607,19 +623,26 @@ class TestBasisCache:
                     )
 
     def test_second_call_runs_no_removal_test(self, monkeypatch):
-        calls = []
-        covered = cones_module._covered
+        calls, passes = [], []
+        covered, project_rows = cones_module._covered, cones_module._project
         monkeypatch.setattr(
             cones_module, "_covered", lambda *args: calls.append(args) or covered(*args)
+        )
+        monkeypatch.setattr(
+            cones_module, "_project", lambda *args: passes.append(args) or project_rows(*args)
         )
         C = cone((0, 1), (2, 0), (2, 1), (4, 2))
         first = C.decompose(vec(2, 1))
         assert calls
         done = len(calls)
+        # membership, the coefficients and a refusal come from one
+        # projection pass on the cached generator rows
+        one_pass = (C._generator_rows()[0], vec(2, 1).sort_key())
+        assert passes == [one_pass]
         assert C.decompose(vec(2, 1)) == first
-        # one more call: the membership test on the cached generator rows
-        assert calls[done:] == [(C._generator_rows()[0], vec(2, 1).sort_key())]
-        done += 1
+        # the second call runs no removal test, only its projection pass
+        assert len(calls) == done
+        assert passes == [one_pass, one_pass]
 
         def tested():
             """The ray (index in the ray table) of each removal test, in call order."""
@@ -711,6 +734,10 @@ class TestConstruction:
         with pytest.warns(UserWarning):
             C = Cone(TropMatrix([vec(0, 1), TropVector.zero(2)], dim=2))
         assert C.ngens == 1
+
+    def test_repr_lists_the_generators(self):
+        assert repr(cone((0, 1), (2, "-inf"))) == "Cone([TropVector(0, 1), TropVector(2, -inf)])"
+        assert repr(Cone(TropMatrix([], dim=3))) == "Cone([])"
 
     def test_json_round_trip(self):
         C = cone((0, 1), (2, "-inf"))

@@ -375,9 +375,15 @@ class TestIsExtreme:
                 extended = ConvexSet(TropMatrix(list(A.points) + [x], dim=A.dim), A.rays)
                 assert A.is_extreme(x) == (x in extended.extreme_points())
 
-    def test_non_member_raises(self):
-        with pytest.raises(NotMember):
-            fig1_set().is_extreme(vec(0, 0))
+    def test_non_member_raises(self, monkeypatch):
+        # the projection is the cover of one pass on the lifted rows, not Cone.project's
+        monkeypatch.setattr(Cone, "project", lambda *args: pytest.fail("Cone.project ran"))
+        with pytest.raises(NotMember) as exc:
+            fig1_set().is_extreme(vec(0, 9))
+        assert exc.value.projection == vec(0, 3)
+        with pytest.raises(NotMember) as exc:
+            fig1_set().decompose(vec(0, 9))
+        assert exc.value.projection == vec(0, 3)
 
     @pytest.mark.parametrize("kind", CORPORA)
     def test_reads_the_extreme_points(self, kind):
@@ -407,7 +413,7 @@ class TestIsExtreme:
         def fail(*args):
             raise AssertionError("the float form ran on integer input")
 
-        monkeypatch.setattr(cones_module, "_covered_float", fail)
+        monkeypatch.setattr(cones_module, "_project", fail)
         A = fig1_set()
         assert A.is_extreme(vec(3, 2)) and not A.is_extreme(vec(5, 3))
 
@@ -528,10 +534,13 @@ class TestHomogenizationCache:
             assert answers(order) == answers(order[::-1]) == answers(shuffled)
 
     def test_second_call_runs_no_removal_test(self, monkeypatch):
-        calls = []
-        covered = cones_module._covered
+        calls, passes = [], []
+        covered, project_rows = cones_module._covered, cones_module._project
         monkeypatch.setattr(
             cones_module, "_covered", lambda *args: calls.append(args) or covered(*args)
+        )
+        monkeypatch.setattr(
+            cones_module, "_project", lambda *args: passes.append(args) or project_rows(*args)
         )
         scans = []
         entries = Cone._basis_entries
@@ -549,12 +558,13 @@ class TestHomogenizationCache:
         assert A.recession() is rec
         assert len(calls) == done
         assert len(scans) == 2
-        # one call per decompose: the membership test on the cached lifted rows
-        membership = (A.homogenize()._generator_rows()[0], vec(5, 5, 0).sort_key())
+        # no removal test per decompose, only one projection pass on the
+        # cached lifted rows
+        one_pass = (A.homogenize()._generator_rows()[0], vec(5, 5, 0).sort_key())
         for _ in range(2):
             assert A.decompose(vec(5, 5)).recombine(A) == vec(5, 5)
-            assert calls[done:] == [membership]
-            done += 1
+            assert len(calls) == done
+        assert passes == [one_pass, one_pass]
 
 
 class TestCachedRows:
@@ -671,6 +681,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match="a convex set needs at least one point"):
             ConvexSet.from_vectors([], [vec(0, 1)])
 
+    @pytest.mark.parametrize("doc", [{"points": []}, {"points": [], "rays": [[0, 1]]}])
+    def test_from_json_needs_a_point(self, doc):
+        # the constructor's words, not the matrix's "empty matrix needs an
+        # explicit dimension", whose remedy (a "dim" field) a set has not
+        with pytest.raises(ValueError, match="^a convex set needs at least one point$"):
+            ConvexSet.from_json(doc)
+
+    @pytest.mark.parametrize("points, rays", [([[0, 1]], [[0]]), ([[0]], [["-inf", 0], [1, 0]])])
+    def test_from_json_names_the_points_and_rays_dims(self, points, rays):
+        # the constructor's words: a set document declares no dimension
+        message = f"^points dim {len(points[0])} vs rays dim {len(rays[0])}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            ConvexSet.from_json({"points": points, "rays": rays})
+        with pytest.raises(DimensionMismatch, match=message):
+            ConvexSet(TropMatrix.from_json(points), TropMatrix.from_json(rays))
+
+    def test_from_json_reads_rays_of_the_points_dim(self):
+        for doc in ({"points": [[0, 1]]}, {"points": [[0, 1]], "rays": []},
+                    {"points": [[0, 1]], "rays": [[1, "-inf"]]}):
+            A = ConvexSet.from_json(doc)
+            assert A.to_json() == {"points": [[0, 1]], "rays": doc.get("rays", [])}
+
     def test_zero_rays_stripped_with_warning(self):
         with pytest.warns(UserWarning):
             A = ConvexSet(
@@ -678,6 +710,10 @@ class TestConstruction:
                 TropMatrix([TropVector.zero(2)], dim=2),
             )
         assert A.rays.ncols == 0
+
+    def test_repr_lists_points_and_rays(self):
+        A = ConvexSet.from_vectors([vec(0, 1)], [vec(1, "-inf")])
+        assert repr(A) == "ConvexSet(points=[TropVector(0, 1)], rays=[TropVector(1, -inf)])"
 
     def test_json_round_trip(self):
         A = fig1_set()
@@ -735,3 +771,44 @@ class TestDecomposeOnCachedRows:
         assert seen["cone"] == {"ConeDecomposition", "NotMember", "ArithmeticError"}, seen
         assert seen["set"] == {"SetDecomposition", "NotMember", "ArithmeticError"}, seen
         assert seen["is_extreme"] == {True, False, "NotMember"}, seen
+
+
+class TestRefusalProjection:
+    """Every refusal carries the canonical projection, from the one
+    projection pass: on the integer and -inf corpora it is the exact
+    oracle's max of the maximally scaled generators (cut to n for a set),
+    and on every corpus it has the bytes of ``Cone.project``."""
+
+    @pytest.mark.parametrize("kind", CORPORA)
+    def test_is_the_canonical_projection(self, kind):
+        rng = random.Random(f"refusal projection:{kind}")
+        judged = {"cone": 0, "set": 0, "is_extreme": 0}
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            gens = corpus_vectors(rng, n, kind)
+            rays = corpus_vectors(rng, n, kind)[: rng.randint(0, 2)]
+            C, A = Cone.from_vectors(gens), ConvexSet.from_vectors(gens, rays)
+            lifted = oracle.lift_points(exact_all(gens)) + oracle.lift_rays(exact_all(rays))
+            targets = corpus_vectors(rng, n, kind)[:3]
+            x = TropVector.zero(n)
+            for g in rng.sample(gens, min(len(gens), 2)):
+                x = x.join(g.scale(corpus_coeff(rng, kind)))
+            for t in targets + [x]:
+                for name, call, cone, target, generators in (
+                    ("cone", C.decompose, C, t, exact_all(gens)),
+                    ("set", A.decompose, A.homogenize(), A.lift(t), lifted),
+                    ("is_extreme", A.is_extreme, A.homogenize(), A.lift(t), lifted),
+                ):
+                    result = outcome(lambda: call(t))
+                    if not (isinstance(result, tuple) and result[0] == "NotMember"):
+                        continue
+                    projection = result[1]
+                    assert repr(projection.sort_key()) == repr(
+                        cone.project(target).sort_key()[:n])
+                    if kind in ("integer", "-inf"):
+                        ex = exact(target)
+                        terms = [(k, oracle.coefficient(g, ex)) for k, g in enumerate(generators)]
+                        assert exact(projection) == oracle.combine(generators, terms, len(ex))[:n]
+                    judged[name] += 1
+        assert min(judged.values()) > 30, judged
+

@@ -196,6 +196,10 @@ class TestMatrix:
                 TropMatrix(cols, dim=dim)
         assert TropMatrix([], dim=2).dim == TropMatrix([vec(1, 2)], dim=2).dim == 2
 
+    def test_repr(self):
+        assert repr(mat((0, 1), (2, "-inf"))) == "TropMatrix([TropVector(0, 1), TropVector(2, -inf)])"
+        assert repr(TropMatrix([], dim=2)) == "TropMatrix([])"
+
     def test_json_round_trip(self):
         M = mat((0, 1), (2, "-inf"))
         back = TropMatrix.from_json(M.to_json())

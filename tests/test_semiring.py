@@ -147,6 +147,11 @@ class TestOrder:
     def test_zero_is_bottom(self):
         assert ZERO <= s(-1000)
 
+    def test_equal_only_to_scalars(self):
+        # a scalar never equals the number it holds
+        assert s(1) != 1 and s(1) != 1.0 and ZERO != -math.inf and ZERO != "-inf"
+        assert s(1) == s(1.0) and ZERO == s("-inf")
+
     def test_comparisons_follow_the_values(self):
         rng = random.Random(12)
         for _ in range(300):
