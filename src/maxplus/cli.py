@@ -111,6 +111,8 @@ def _cmd_member(args) -> int:
         proj = cone.project(x)
     except DimensionMismatch as exc:
         raise ParseFailure(f"--x: {exc}") from None
+    except ValueError:  # a residual plus a coordinate rounded past the largest float
+        raise ParseFailure("--x: the projection overflows a float") from None
     member = vectors_equal(proj, x, args.tolerance)
     _emit({"member": member, "projection": proj.to_json()[:n]}, args.out)
     return EXIT_OK
@@ -148,6 +150,8 @@ def _cmd_decompose(args) -> int:
             args.out,
         )
         return EXIT_PRECONDITION
+    except ValueError:  # as in member
+        raise ParseFailure("--x: the projection overflows a float") from None
     if not ok:
         sys.stderr.write("internal error: decomposition failed self-verification\n")
         return EXIT_SELF_CHECK

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from collections import Counter
 from functools import cached_property
 from itertools import chain
 
@@ -221,7 +220,7 @@ class Cone:
         if len(self._coords) != len(coords):
             warnings.warn("dropping zero-vector generators from cone", stacklevel=3)
         self._dim = dim
-        self._table = self._rays = self._verdicts = self._ray_index = self._basis = None
+        self._table = self._rays = self._verdicts = self._basis = None
 
     @classmethod
     def _of_coords(cls, coords: list[tuple], dim: int) -> "Cone":
@@ -257,10 +256,6 @@ class Cone:
     def member(self, x: TropVector) -> bool:
         return self.project(x) == x
 
-    def _generator_coords(self) -> list[tuple]:
-        """The ``sort_key()`` coordinates of each generator."""
-        return self._coords
-
     def _generator_rows(self) -> tuple[_Rows, list[tuple]]:
         """(``_table`` of the generators, their ``sort_key()`` coordinates),
         built on first use; a generator is also a removal test's target."""
@@ -278,30 +273,28 @@ class Cone:
         if other.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
         rows = self._generator_rows()[0]
-        return all(_covered(rows, g) for g in other._generator_coords())
+        return all(_covered(rows, g) for g in other._coords)
 
     def is_extreme_generator(self, k: int) -> bool:
         """Generator k is not a max-plus combination of the other generators.
 
         False when another generator is a scaled copy of it (the same
         ``_ray``); otherwise the verdict of its ray in ``_ray_table``, the
-        test behind ``extract_basis``, so the two always agree.  The first
-        call finds each generator's ray in the table; later calls look it up.
+        test behind ``extract_basis``, so the two always agree.  Both read
+        generator k's ray off the table: counted among every generator's
+        ray, and found among the sorted distinct rays by bisection.
         """
         if isinstance(k, bool) or not isinstance(k, int):
             raise TypeError(f"generator index must be an int, got {k!r}")
         if not 0 <= k < self.ngens:
             raise IndexError(f"generator index {k} out of range")
-        if self._ray_index is None:
-            rays = list(map(_ray, self._coords))
-            count, position = Counter(rays), {r: j for j, r in enumerate(self._ray_table()[0])}
-            self._ray_index = [position[r] if count[r] == 1 else None for r in rays]
-        j = self._ray_index[k]
-        return j is not None and self._verdict(j)
+        norms, _, _, rays = self._ray_table()
+        return rays.count(rays[k]) == 1 and self._verdict(bisect_left(norms, rays[k]))
 
-    def _ray_table(self) -> tuple[list[tuple], list[int], _Rows]:
+    def _ray_table(self) -> tuple[list[tuple], list[int], _Rows, list[tuple]]:
         """(normalized coordinates, smallest original index, ``_table``) of
-        the distinct rays, built on first use with every verdict unknown.
+        the distinct rays, and each generator's ray, built on first use with
+        every verdict unknown.
 
         The cached coordinates are normalized by ``_ray``, deduplicated
         (smallest original index wins) and sorted (``sort_key()`` order):
@@ -310,11 +303,11 @@ class Cone:
         normalized coordinates, which are the verdicts' targets.
         """
         if self._rays is None:
-            seen = {}
-            for idx, g in enumerate(self._coords):
-                seen.setdefault(_ray(g), idx)
+            rays, seen = list(map(_ray, self._coords)), {}
+            for idx, ray in enumerate(rays):
+                seen.setdefault(ray, idx)
             norms = sorted(seen)
-            self._rays = norms, [seen[norm] for norm in norms], _table(norms, rays=True)
+            self._rays = norms, [seen[norm] for norm in norms], _table(norms, rays=True), rays
             self._verdicts = [None] * len(norms)
         return self._rays
 
@@ -325,7 +318,7 @@ class Cone:
         """
         verdict = self._verdicts[j]
         if verdict is None:
-            norms, _, rows = self._rays
+            norms, _, rows, _ = self._rays
             verdict = self._verdicts[j] = not _covered(rows, norms[j], j)
         return verdict
 
@@ -354,15 +347,15 @@ class Cone:
 
         One ``_project`` pass on the cached generator rows gives membership
         (the cover is x), a refusal's projection (the cover) and each
-        generator's residual lam, its greatest scale below x.  Each ray not
-        yet known to be covered enters as its generator of smallest original
-        index, scaled by lam.  Per finite coordinate of x the first of these
-        in basis order that attains it and is extreme is a term: only these
-        candidates have their verdicts tested, so once all are known only the
-        basis rays are scanned.  Then, in original-index order, a term is
-        dropped when the others still reach x.  Raises ArithmeticError when
-        float rounding leaves a coordinate of a member attained only outside
-        the basis.
+        generator's residual lam, its greatest scale below x.  Per finite
+        coordinate x_i, the ray table is scanned in basis order, skipping
+        rays known to be covered: the term is the first ray whose generator
+        of smallest original index, scaled by its lam, attains x_i and
+        whose verdict is extreme.  Only verdicts of rays that attain some
+        x_i are tested, and only the terms get a scaled row.  Then, in
+        original-index order, a term is dropped when the others still reach
+        x.  Raises ArithmeticError when float rounding leaves a coordinate
+        of a member attained only outside the basis.
         """
         if x.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {x.dim}")
@@ -372,32 +365,29 @@ class Cone:
         if cover != target:
             raise _refusal("vector is not a member of the cone", cover, self.dim)
 
-        origin = self._ray_table()[1]
-        live = [j for j, verdict in enumerate(self._verdicts) if verdict is not False]
-        indices = [origin[j] for j in live]
-        rows = [tuple(map(lams[idx].__add__, coords[idx])) for idx in indices]
-
-        selected: list[int] = []
+        origin, verdicts = self._ray_table()[1], self._verdicts
+        terms: dict[int, tuple] = {}  # a term's original index -> its scaled generator
         for i, xi in enumerate(target):
             if xi == -math.inf:
                 continue
-            pick = next(
-                (k for k, row in enumerate(rows) if row[i] == xi and self._verdict(live[k])), None
-            )
-            if pick is None:
+            for j, idx in enumerate(origin):
+                if (verdicts[j] is not False and lams[idx] + coords[idx][i] == xi
+                        and self._verdict(j)):
+                    break
+            else:
                 raise ArithmeticError(f"no basis generator attains coordinate {i} of the member")
-            if pick not in selected:
-                selected.append(pick)
+            if idx not in terms:
+                terms[idx] = tuple(map(lams[idx].__add__, coords[idx]))
 
         # greedy pruning: drop any term the remaining ones already cover
-        for k in sorted(selected, key=indices.__getitem__):
-            rest = [j for j in selected if j != k]
-            cover = tuple(map(max, zip([-math.inf] * self.dim, *(rows[j] for j in rest))))
+        selected = sorted(terms)
+        for idx in sorted(terms):
+            rest = [k for k in selected if k != idx]
+            cover = tuple(map(max, zip([-math.inf] * self.dim, *(terms[k] for k in rest))))
             if cover == target:
                 selected = rest
 
-        terms = sorted((indices[k], MaxPlusScalar(lams[indices[k]])) for k in selected)
-        return ConeDecomposition(tuple(terms), x)
+        return ConeDecomposition(tuple((idx, MaxPlusScalar(lams[idx])) for idx in selected), x)
 
     def to_json(self) -> dict:
         """The generators; an empty list also states the dimension, which

@@ -150,6 +150,20 @@ class TestDecompose:
         assert code == EXIT_SELF_CHECK
         assert out == "" and "self-verification" in err
 
+    @pytest.mark.parametrize("command", ["member", "decompose"])
+    @pytest.mark.parametrize("flag, doc", [
+        ("--cone", {"generators": [[-1.4167948092289695e308, 8.200263977465088e307]]}),
+        ("--set", {"points": [[0, 0]], "rays": [[-1.4167948092289695e308, 8.200263977465088e307]]}),
+    ])
+    def test_overflowing_projection_exits_1(self, capsys, tmp_path, command, flag, doc):
+        # lam + g_1 = 8.2e307 + 1.03e308 rounds past the largest float
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        x = "[3.7862535563277537e307, 1.7976931348623157e308]"
+        code, out, err = run(capsys, command, flag, str(f), "--x", x)
+        assert code == EXIT_PARSE
+        assert err == "error: --x: the projection overflows a float\n" and out == ""
+
 
 class TestSetQueries:
     def test_extreme_points_sorted(self, capsys):

@@ -455,24 +455,37 @@ def _integral(value) -> bool:
 
 
 def _verdict(argv, code, out, docs):
-    """Whether a member or decompose call on an integer or -inf document
-    states the exact oracle's answer: the member flag and projection, a
-    certificate the oracle accepts, or a non-member's refusal with its
-    projection.  None for any other call, and for a refused input (exit 1),
-    of which the oracle has no reading."""
+    """Whether a call on an integer or -inf document states the exact
+    oracle's answer: for member and decompose the member flag and
+    projection, a certificate the oracle accepts, or a non-member's refusal
+    with its projection; for basis and recession a basis of the cone (of
+    the rays, for a set); for extreme-points the extreme points.  None for
+    any other call, and for a refused input (exit 1), of which the oracle
+    has no reading."""
     import oracle  # on the path under pytest (conftest.py), not in script mode
 
-    if code == 1 or argv[0] not in ("member", "decompose") or "--x" not in argv:
+    if code == 1 or argv[0] not in ("member", "decompose", "basis", "recession", "extreme-points"):
+        return None
+    takes_x = argv[0] in ("member", "decompose")
+    if takes_x and "--x" not in argv:  # --help
         return None
     if "--tolerance" in argv and argv[argv.index("--tolerance") + 1] != "0":
         return None
     flag = "--cone" if "--cone" in argv else "--set"
     name = argv[argv.index(flag) + 1]
     doc = oracle.load((HERE / name).read_text() if name.startswith("data/") else docs[name])
-    x = oracle.load(argv[argv.index("--x") + 1])
+    x = oracle.load(argv[argv.index("--x") + 1]) if takes_x else []
     parts = [doc["generators"]] if flag == "--cone" else [doc["points"], doc.get("rays", [])]
     if not all(map(_integral, parts + [x])):
         return None
+    result = json.loads(out) if out else None
+    if argv[0] == "extreme-points":
+        points, rays = (list(map(oracle.vec, part)) for part in parts)
+        ext = list(map(oracle.vec, result["extreme_points"]))
+        return oracle.extreme_points_ok(points, rays, ext)
+    if not takes_x:  # basis of the generators, recession of the rays
+        return oracle.basis_ok(list(map(oracle.vec, parts[-1])),
+                               list(map(oracle.vec, result["generators"])))
     # the library drops zero generators and zero rays, and indexes what is left
     nonzero = [v for v in map(oracle.vec, parts[-1]) if set(v) != {oracle.NEG}]
     if flag == "--cone":
@@ -483,7 +496,7 @@ def _verdict(argv, code, out, docs):
     n = len(x)
     terms = [(k, oracle.coefficient(g, target)) for k, g in enumerate(gens)]
     projection = oracle.combine(gens, terms, len(target))[:n]
-    member, result = oracle.cone_member(gens, target), json.loads(out) if out else None
+    member = oracle.cone_member(gens, target)
     if argv[0] == "member":
         return result == {"member": member, "projection": result["projection"]} and (
             oracle.vec(result["projection"]) == projection)
@@ -495,13 +508,31 @@ def _verdict(argv, code, out, docs):
     return code == 0 and oracle.set_certificate_ok(points, rays, target[:n], result)
 
 
+def _verdicts(commands) -> list:
+    """(``_verdict``, argv) of each corpus row of the given subcommands."""
+    docs, runs = calls()
+    return [(_verdict(argv, code, out, docs), argv)
+            for argv, code, out, _, _ in runs if argv and argv[0] in commands]
+
+
 def test_member_and_decompose_rows_state_the_exact_answer():
     """On integer and -inf documents every member and decompose row states
     the exact oracle's answer, not only pinned bytes."""
-    docs, runs = calls()
-    verdicts = [(_verdict(argv, code, out, docs), argv) for argv, code, out, _, _ in runs]
+    verdicts = _verdicts(("member", "decompose"))
     assert [argv for verdict, argv in verdicts if verdict is False] == []
     assert sum(verdict is True for verdict, _ in verdicts) >= 100
+
+
+def test_basis_recession_and_extreme_points_rows_state_the_exact_answer():
+    """On integer and -inf documents every basis and recession row prints a
+    basis of the cone (of the set's rays) and every extreme-points row the
+    extreme points, by the exact oracle."""
+    verdicts = _verdicts(("basis", "recession", "extreme-points"))
+    assert [argv for verdict, argv in verdicts if verdict is False] == []
+    judged = {command: sum(verdict is True and argv[0] == command for verdict, argv in verdicts)
+              for command in ("basis", "recession", "extreme-points")}
+    assert judged["basis"] >= 15 and judged["recession"] >= 16, judged
+    assert judged["extreme-points"] >= 15, judged
 
 
 if __name__ == "__main__":

@@ -661,7 +661,7 @@ class TestCachedRows:
         # a membership test is the first to build the generator rows
         del calls[:]
         assert A.member(vec(5, 2))
-        assert calls == A.homogenize()._generator_coords()
+        assert calls == A.homogenize()._coords
 
     def test_sets_equal_names_the_set_dimensions(self):
         with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):
@@ -737,13 +737,18 @@ class TestDecomposeOnCachedRows:
                 return result[0]
             return type(result).__name__
 
-        seen = {"cone": set(), "set": set(), "is_extreme": set()}
+        seen = {"cone": set(), "set": set(), "is_extreme": set(), "warm cone": set(),
+                "warm set": set()}
         for case in range(150):
             n = rng.randint(1, 4)
             tenths, huge = case % 3 == 1, case % 3 == 2
             gens = mixed_vectors(rng, n, tenths, huge)
             rays = mixed_vectors(rng, n, tenths, huge)[: rng.randint(0, 3)]
             C, A = Cone.from_vectors(gens), ConvexSet.from_vectors(gens, rays)
+            # warm geometries: every verdict known before the first decompose
+            warm_C, warm_A = Cone.from_vectors(gens), ConvexSet.from_vectors(gens, rays)
+            warm_C.extract_basis()
+            warm_A.extreme_points()
 
             targets = list(gens[:2]) + mixed_vectors(rng, n, tenths, huge)[:2]
             targets.append(TropVector.zero(n))
@@ -759,6 +764,10 @@ class TestDecomposeOnCachedRows:
                     ("cone", lambda: C.decompose(t), lambda: reference_cone_decompose(C, t)),
                     ("set", lambda: A.decompose(t), lambda: reference_set_decompose(A, t)),
                     ("is_extreme", lambda: A.is_extreme(t), lambda: reference_is_extreme(A, t)),
+                    ("warm cone", lambda: warm_C.decompose(t),
+                     lambda: reference_cone_decompose(C, t)),
+                    ("warm set", lambda: warm_A.decompose(t),
+                     lambda: reference_set_decompose(A, t)),
                 ):
                     result = outcome(got)
                     assert result == outcome(want)
@@ -768,8 +777,10 @@ class TestDecomposeOnCachedRows:
             for call in (C.project, C.decompose, A.decompose, A.is_extreme):
                 with pytest.raises(DimensionMismatch, match=f"^dim {n} vs {n + 1}$"):
                     call(TropVector.zero(n + 1))
-        assert seen["cone"] == {"ConeDecomposition", "NotMember", "ArithmeticError"}, seen
-        assert seen["set"] == {"SetDecomposition", "NotMember", "ArithmeticError"}, seen
+        for name in ("cone", "warm cone"):
+            assert seen[name] == {"ConeDecomposition", "NotMember", "ArithmeticError"}, seen
+        for name in ("set", "warm set"):
+            assert seen[name] == {"SetDecomposition", "NotMember", "ArithmeticError"}, seen
         assert seen["is_extreme"] == {True, False, "NotMember"}, seen
 
 
