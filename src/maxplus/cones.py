@@ -269,11 +269,14 @@ class Cone:
         return _covered(self._generator_rows()[0], x.sort_key())
 
     def contains_cone(self, other: "Cone") -> bool:
-        """Every generator of ``other`` is a member (the removal test)."""
+        """Every generator of ``other`` is a member: one removal test per
+        distinct generator, in first-seen order, except in the exact domain,
+        where one equal to a generator of this cone is a member untested."""
         if other.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        rows = self._generator_rows()[0]
-        return all(_covered(rows, g) for g in other._coords)
+        rows, coords = self._generator_rows()
+        held = set(coords) if rows.exact else ()
+        return all(_covered(rows, g) for g in dict.fromkeys(other._coords) if g not in held)
 
     def is_extreme_generator(self, k: int) -> bool:
         """Generator k is not a max-plus combination of the other generators.
@@ -405,6 +408,7 @@ class Cone:
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:
-    """Set equality of the represented cones (mutual generator membership)."""
+    """Set equality of the represented cones: mutual ``contains_cone``, which in
+    the exact domain tests no generator that both cones hold verbatim."""
     return a.contains_cone(b) and b.contains_cone(a)
 

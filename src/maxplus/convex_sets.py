@@ -191,8 +191,8 @@ class ConvexSet:
 
 
 def sets_equal(a: ConvexSet, b: ConvexSet) -> bool:
-    """Set equality as equality of the homogenizations: mutual membership of
-    the points plus mutual containment of the rays' cones."""
+    """Set equality as equality of the homogenizations (``cones_equal``); in the
+    exact domain no point or ray that both sets hold verbatim is tested."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
     return cones_equal(a.homogenize(), b.homogenize())

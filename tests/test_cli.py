@@ -632,9 +632,18 @@ def _odd_halfspace(rng):
 ODD_DOCUMENTS = {"cone": _odd_cone, "set": _odd_set, "halfspace": _odd_halfspace}
 
 
+# the largest float and half of it, which a multiple of 3.4e306 never is
+EDGE_FLOATS = (1.7976931348623157e308, -1.7976931348623157e308,
+               8.98846567431158e307, -8.98846567431158e307)
+
+
 def _huge_scalar(rng):
-    """-inf, or a multiple of 3.4e306 up to 1.7e308 in size."""
-    return "-inf" if rng.random() < 0.2 else rng.randint(-50, 50) * 3.4e306
+    """-inf, the largest float or half of it, or a multiple of 3.4e306 up
+    to 1.7e308 in size."""
+    r = rng.random()
+    if r < 0.2:
+        return "-inf"
+    return rng.choice(EDGE_FLOATS) if r < 0.3 else rng.randint(-50, 50) * 3.4e306
 
 
 def _huge_vector(rng):

@@ -459,12 +459,14 @@ def _verdict(argv, code, out, docs):
     oracle's answer: for member and decompose the member flag and
     projection, a certificate the oracle accepts, or a non-member's refusal
     with its projection; for basis and recession a basis of the cone (of
-    the rays, for a set); for extreme-points the extreme points.  None for
-    any other call, and for a refused input (exit 1), of which the oracle
-    has no reading."""
+    the rays, for a set); for extreme-points the extreme points; for
+    minkowski-verify that the theorem holds, with the extreme points and a
+    basis of the cone of the nonzero rays.  None for any other call, and for
+    a refused input (exit 1), of which the oracle has no reading."""
     import oracle  # on the path under pytest (conftest.py), not in script mode
 
-    if code == 1 or argv[0] not in ("member", "decompose", "basis", "recession", "extreme-points"):
+    if code == 1 or argv[0] not in ("member", "decompose", "basis", "recession", "extreme-points",
+                                    "minkowski-verify"):
         return None
     takes_x = argv[0] in ("member", "decompose")
     if takes_x and "--x" not in argv:  # --help
@@ -479,15 +481,18 @@ def _verdict(argv, code, out, docs):
     if not all(map(_integral, parts + [x])):
         return None
     result = json.loads(out) if out else None
-    if argv[0] == "extreme-points":
+    # the library drops zero generators and zero rays, and indexes what is left
+    nonzero = [v for v in map(oracle.vec, parts[-1]) if set(v) != {oracle.NEG}]
+    if argv[0] in ("extreme-points", "minkowski-verify"):
         points, rays = (list(map(oracle.vec, part)) for part in parts)
         ext = list(map(oracle.vec, result["extreme_points"]))
-        return oracle.extreme_points_ok(points, rays, ext)
+        if argv[0] == "extreme-points":
+            return oracle.extreme_points_ok(points, rays, ext)
+        return result["holds"] is True and oracle.extreme_points_ok(points, rays, ext) and (
+            oracle.basis_ok(nonzero, list(map(oracle.vec, result["recession_basis"]))))
     if not takes_x:  # basis of the generators, recession of the rays
         return oracle.basis_ok(list(map(oracle.vec, parts[-1])),
                                list(map(oracle.vec, result["generators"])))
-    # the library drops zero generators and zero rays, and indexes what is left
-    nonzero = [v for v in map(oracle.vec, parts[-1]) if set(v) != {oracle.NEG}]
     if flag == "--cone":
         gens, target = nonzero, oracle.vec(x)
     else:
@@ -533,6 +538,15 @@ def test_basis_recession_and_extreme_points_rows_state_the_exact_answer():
               for command in ("basis", "recession", "extreme-points")}
     assert judged["basis"] >= 15 and judged["recession"] >= 16, judged
     assert judged["extreme-points"] >= 15, judged
+
+
+def test_minkowski_verify_rows_state_the_exact_answer():
+    """On integer and -inf documents every minkowski-verify row states that
+    the theorem holds, with the extreme points and the recession basis the
+    exact oracle accepts."""
+    verdicts = _verdicts(("minkowski-verify",))
+    assert [argv for verdict, argv in verdicts if verdict is False] == []
+    assert sum(verdict is True for verdict, _ in verdicts) >= 16
 
 
 if __name__ == "__main__":

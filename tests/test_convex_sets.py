@@ -567,6 +567,10 @@ class TestHomogenizationCache:
         assert passes == [one_pass, one_pass]
 
 
+# values at the edge of the exact domain of the removal test, next to small ones
+EDGE_VALUES = (2.0**51, -(2.0**51), 2.0**51 - 1, 1 - 2.0**51, 0.0, 1.0, -1.0)
+
+
 class TestCachedRows:
     """Set membership, set and cone equality and the recession cone read the
     cached generator rows; they answer as the ``project``-based definitions."""
@@ -618,6 +622,86 @@ class TestCachedRows:
                     assert cones_equal(K, L) == (answer and reference_contains_cone(L, K))
                     seen["contains_cone"].add(answer)
         assert all(answers == {True, False} for answers in seen.values()), seen
+
+    @pytest.mark.parametrize("kind", CORPORA + ("edge",))
+    def test_shared_generators_match_reference(self, kind):
+        """Containment and equality against other sides that hold generators
+        of A verbatim: the rebuild from the extreme points and the recession
+        cone, A's generators reversed with duplicates, a subset, and a
+        superset with one non-member; "edge" values reach +-2**51."""
+
+        def vectors(rng, n):
+            if kind != "edge":
+                return corpus_vectors(rng, n, kind)
+            out = []
+            for _ in range(rng.randint(1, 6)):
+                v = [NEG if rng.random() < 0.2 else rng.choice(EDGE_VALUES) for _ in range(n)]
+                v[rng.randrange(n)] = rng.choice(EDGE_VALUES)
+                out.append(TropVector.of(*v))
+            return out
+
+        rng = random.Random(f"shared-{kind}")
+        seen = {"contains_cone": set(), "cones_equal": set(), "sets_equal": set()}
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            points, rays = vectors(rng, n), vectors(rng, n)[: rng.randint(0, 3)]
+            A = ConvexSet.from_vectors(points, rays)
+            outside = [t for t in vectors(rng, n) + [TropVector.zero(n)]
+                       if not reference_member(A, t)][:1]
+            others = [
+                ConvexSet.from_vectors(A.extreme_points(), list(A.recession().generators)),
+                ConvexSet.from_vectors(points[::-1] + points[:2], rays[::-1] + rays[:1]),
+                ConvexSet.from_vectors(points[: (len(points) + 1) // 2], rays[:1]),
+                ConvexSet.from_vectors(points + outside, rays),
+            ]
+            for B in others:
+                for X, Y in ((A, B), (B, A)):
+                    answer = sets_equal(X, Y)
+                    assert answer == reference_sets_equal(X, Y)
+                    seen["sets_equal"].add(answer)
+                    K, L = X.homogenize(), Y.homogenize()
+                    answer = K.contains_cone(L)
+                    assert answer == reference_contains_cone(K, L)
+                    seen["contains_cone"].add(answer)
+                    answer = cones_equal(K, L)
+                    assert answer == (reference_contains_cone(K, L)
+                                      and reference_contains_cone(L, K))
+                    seen["cones_equal"].add(answer)
+        assert all(answers == {True, False} for answers in seen.values()), seen
+
+    def test_containment_tests_only_generators_it_does_not_hold(self, monkeypatch):
+        targets = []
+        covered = cones_module._covered
+        monkeypatch.setattr(cones_module, "_covered",
+                            lambda rows, x, *rest: targets.append(x) or covered(rows, x, *rest))
+
+        def tested(A, B):
+            del targets[:]
+            return sets_equal(A, B), targets[:]
+
+        A = fig1_set()
+        B = ConvexSet.from_vectors(A.extreme_points(), list(A.recession().generators))
+        # every point of fig1 is extreme, so only the rays differ: B's normalized
+        # rays are tested in A, then A's rays in B, and no point at all
+        assert tested(A, B) == (True, [(-1.0, 0.0, NEG), (0.0, -2.0, NEG),
+                                       (0.0, 1.0, NEG), (2.0, 0.0, NEG)])
+        # A's generators reversed, with duplicates: nothing to test
+        again = ConvexSet.from_vectors(list(A.points)[::-1] * 2, list(A.rays)[::-1])
+        assert tested(A, again) == (True, [])
+
+        # one-decimal: outside the exact domain every distinct generator is tested
+        def tenths(vs):
+            return [vec(*(c / 10 for c in v.sort_key())) for v in vs]
+
+        tenth = ConvexSet.from_vectors(tenths(A.points), tenths(A.rays))
+        again = ConvexSet.from_vectors(list(tenth.points)[::-1] * 2, list(tenth.rays)[::-1])
+        lifted = [g.sort_key() for g in tenth.homogenize().generators]
+        assert tested(tenth, again) == (True, lifted[4::-1] + lifted[:4:-1] + lifted)
+        rebuilt = ConvexSet.from_vectors(tenth.extreme_points(),
+                                         list(tenth.recession().generators))
+        answer, ran = tested(tenth, rebuilt)
+        assert answer == reference_sets_equal(tenth, rebuilt)
+        assert ran[:7] == [g.sort_key() for g in rebuilt.homogenize().generators]
 
     def test_second_query_builds_no_generator_rows(self, monkeypatch):
         calls, targets = [], []
